@@ -73,8 +73,8 @@ std::vector<SampleQuery> BuildSampleQueries(const Env& env) {
 double TimeSlcaBaseline(const Env& env, const core::Query& q,
                         slca::SlcaAlgorithm algorithm) {
   return TimeMs([&] {
-    auto results = slca::ComputeSlcaForQuery(
-        q, env.corpus->index(), env.corpus->types(), algorithm);
+    auto results = slca::ComputeSlcaForQuery(q, *env.corpus,
+                                             env.corpus->types(), algorithm);
     (void)results;
   });
 }

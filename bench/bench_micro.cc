@@ -117,9 +117,9 @@ void BM_Slca(benchmark::State& state) {
   auto algorithm = static_cast<slca::SlcaAlgorithm>(state.range(0));
   std::vector<std::string> q = {"database", "query", "system"};
   for (auto _ : state) {
-    auto results = slca::ComputeSlcaForQuery(q, corpus.index(),
-                                             corpus.types(), algorithm);
-    benchmark::DoNotOptimize(results.size());
+    auto results =
+        slca::ComputeSlcaForQuery(q, corpus, corpus.types(), algorithm);
+    benchmark::DoNotOptimize(results.value().size());
   }
 }
 BENCHMARK(BM_Slca)

@@ -63,8 +63,8 @@ std::unique_ptr<index::IndexedCorpus> MakeSyntheticCorpus(size_t vocab_size,
   for (const std::string& w : pool) {
     auto postings = static_cast<size_t>(1 + (id % 5));
     for (size_t p = 0; p < postings; ++p) {
-      corpus->mutable_index().Append(
-          w, index::Posting{xml::Dewey({0, id, static_cast<uint32_t>(p)}), 0});
+      corpus->mutable_index().MutableList(w)->Append(
+          xml::Dewey({0, id, static_cast<uint32_t>(p)}), 0);
     }
     ++id;
   }

@@ -53,8 +53,10 @@ void Main() {
       bool any_empty = false;
       for (size_t i = 0; i < static_rqs.size(); ++i) {
         auto results = slca::ComputeSlcaForQuery(
-            static_rqs[i].keywords, env.corpus->index(), env.corpus->types(),
-            slca::SlcaAlgorithm::kScanEager);
+                           static_rqs[i].keywords, *env.corpus,
+                           env.corpus->types(),
+                           slca::SlcaAlgorithm::kScanEager)
+                           .value();
         results = slca::FilterMeaningful(std::move(results),
                                          prepared.search_for,
                                          env.corpus->types());

@@ -1,10 +1,14 @@
-// FlatPostingList: the columnar, cache-resident form of a posting list.
-// Instead of a vector<Posting> where every Dewey owns its own heap block,
+// FlatPostingList: the one posting-list representation, from index build
+// to disk and back. A posting is one keyword occurrence site: the Dewey
+// label of the node that directly contains the keyword (in its tag or
+// value) plus the node's type — the <DeweyID, prefixPath> entries of the
+// paper's keyword inverted list (Section VII), kept in document order.
+// Instead of a vector of structs where every Dewey owns its own heap block,
 // all labels live concatenated in one uint32 pool with an offsets column and
-// a types column (structure-of-arrays). Decoding a stored list fills three
-// flat vectors with zero per-posting allocations, and the SLCA scan loops
-// walk contiguous memory — this layout, not the algorithm, is what makes
-// the Indexed Lookup Eager probes fast at scale (cf. XKSearch, and the
+// a types column (structure-of-arrays). Building or decoding a list fills
+// three flat vectors with zero per-posting allocations, and the SLCA scan
+// loops walk contiguous memory — this layout, not the algorithm, is what
+// makes the Indexed Lookup Eager probes fast at scale (cf. XKSearch, and the
 // DAG-compression line in PAPERS.md).
 #ifndef XREFINE_INDEX_FLAT_POSTINGS_H_
 #define XREFINE_INDEX_FLAT_POSTINGS_H_
@@ -12,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "index/posting.h"
 #include "xml/dewey.h"
 #include "xml/node_type.h"
 
@@ -35,8 +38,9 @@ class FlatPostingList {
   /// Owning copy of posting i's label (result materialisation only).
   xml::Dewey DeweyAt(size_t i) const { return label(i).ToDewey(); }
 
-  /// Appends one posting; callers append in document order, mirroring the
-  /// builder's contract for PostingList.
+  /// Appends one posting; callers append in document order, and the same
+  /// node is recorded once per keyword (occurrence counts live in the
+  /// statistics table).
   void Append(const xml::DeweyRef& label, xml::TypeId type) {
     components_.insert(components_.end(), label.comps, label.comps + label.len);
     starts_.push_back(static_cast<uint32_t>(components_.size()));
@@ -46,38 +50,17 @@ class FlatPostingList {
     Append(xml::DeweyRef(label), type);
   }
 
-  /// Pre-sizes the columns (`postings` entries totalling `components`
-  /// label components) so decode paths grow without reallocation.
-  void Reserve(size_t postings, size_t components) {
+  /// Pre-sizes the per-posting columns for `postings` entries, so the
+  /// decoder grows them without reallocation.
+  void Reserve(size_t postings) {
     starts_.reserve(postings + 1);
     types_.reserve(postings);
-    components_.reserve(components);
   }
 
-  void Clear() {
-    components_.clear();
-    starts_.assign(1, 0);
-    types_.clear();
-  }
-
-  /// Converts from the build-time AoS representation.
-  static FlatPostingList FromPostings(const PostingList& list) {
-    FlatPostingList flat;
-    size_t comps = 0;
-    for (const Posting& p : list) comps += p.dewey.depth();
-    flat.Reserve(list.size(), comps);
-    for (const Posting& p : list) flat.Append(p.dewey, p.type);
-    return flat;
-  }
-
-  /// Converts back to AoS (tests, round-trip checks).
-  PostingList ToPostings() const {
-    PostingList out;
-    out.reserve(size());
-    for (size_t i = 0; i < size(); ++i) {
-      out.push_back(Posting{DeweyAt(i), type(i)});
-    }
-    return out;
+  /// Same postings in the same order (capacity is not compared).
+  bool operator==(const FlatPostingList& other) const {
+    return types_ == other.types_ && starts_ == other.starts_ &&
+           components_ == other.components_;
   }
 
   /// Approximate resident heap footprint, consistent across lists (used by
@@ -89,8 +72,9 @@ class FlatPostingList {
            types_.capacity() * sizeof(xml::TypeId);
   }
 
-  /// Trims capacity to size (cache entries live long; excess capacity from
-  /// decode-time growth would inflate the budget).
+  /// Trims capacity to size, so resident_bytes() counts no growth slack
+  /// (called once when a build or load ends, and on every decoded entry the
+  /// store-backed cache keeps).
   void ShrinkToFit() {
     components_.shrink_to_fit();
     starts_.shrink_to_fit();

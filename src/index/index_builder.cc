@@ -32,6 +32,24 @@ class TypeChainCache {
   std::unordered_map<xml::TypeId, std::vector<xml::TypeId>> chains_;
 };
 
+// Document frequencies (f_k^T, Definition 3.2: T-typed nodes whose subtree
+// contains k), shared by both builders. A keyword's postings are in
+// document order, so the postings under any one ancestor are contiguous:
+// the ancestors a posting shares with its predecessor (their common label
+// prefix) are already counted, and only the deeper ones are new.
+void AddDocumentFrequencies(const InvertedIndex& index, TypeChainCache* chains,
+                            StatisticsTable* stats) {
+  for (const auto& [keyword, list] : index.lists()) {
+    StatisticsTable::PerTypeStats& row = *stats->MutableTypeStatsFor(keyword);
+    for (size_t i = 0; i < list.size(); ++i) {
+      const auto& chain = chains->ChainOf(list.type(i));
+      size_t shared =
+          i == 0 ? 0 : xml::CommonPrefixDepth(list.label(i - 1), list.label(i));
+      for (size_t d = shared; d < chain.size(); ++d) ++row[chain[d]].df;
+    }
+  }
+}
+
 }  // namespace
 
 std::unique_ptr<IndexedCorpus> BuildIndex(const xml::Document& doc,
@@ -62,8 +80,9 @@ std::unique_ptr<IndexedCorpus> BuildIndex(const xml::Document& doc,
     for (const auto& term : text::Tokenize(node.text)) ++counts[term];
 
     const auto& chain = chains.ChainOf(node.type);
+    const xml::DeweyRef label(node.dewey);
     for (const auto& [term, count] : counts) {
-      index.Append(term, Posting{node.dewey, node.type});
+      index.MutableList(term)->Append(label, node.type);
       for (xml::TypeId ancestor : chain) {
         stats.AddTermFrequency(term, ancestor, count);
       }
@@ -75,25 +94,10 @@ std::unique_ptr<IndexedCorpus> BuildIndex(const xml::Document& doc,
     }
   }
 
-  // Pass 2: document frequencies. Postings of each keyword are in document
-  // order, so equal ancestor labels are contiguous: one last-seen label per
-  // depth dedupes T-typed subtrees.
-  for (const auto& [keyword, list] : index.lists()) {
-    std::vector<xml::Dewey> last_seen;  // indexed by depth-1
-    for (const Posting& p : list) {
-      const auto& chain = chains.ChainOf(p.type);
-      if (last_seen.size() < chain.size()) last_seen.resize(chain.size());
-      for (size_t d = 0; d < chain.size(); ++d) {
-        xml::Dewey anchor = p.dewey.Prefix(d + 1);
-        if (last_seen[d] != anchor) {
-          stats.AddDocumentFrequency(keyword, chain[d]);
-          last_seen[d] = std::move(anchor);
-        }
-      }
-    }
-  }
-
+  // Pass 2: document frequencies, over the finished lists.
+  AddDocumentFrequencies(index, &chains, &stats);
   stats.FinalizeDistinctCounts();
+  index.ShrinkToFit();
   return corpus;
 }
 
@@ -113,7 +117,7 @@ std::unique_ptr<IndexedCorpus> BuildIndexFromDag(
   // follows pre-resolved pointers — unordered_map nodes never move, so the
   // cached list/cell/count slots stay valid across later insertions.
   struct TermSlot {
-    PostingList* list = nullptr;
+    FlatPostingList* list = nullptr;
     std::vector<KeywordTypeStats*> cells;  // aligned with the type chain
     uint32_t count = 0;
   };
@@ -162,8 +166,10 @@ std::unique_ptr<IndexedCorpus> BuildIndexFromDag(
   auto visit = [&](xml::DagNodeId id) {
     const NodePlan& plan = plans[id];
     ++*plan.node_count;
+    const xml::DeweyRef label(comps.data(),
+                              static_cast<uint32_t>(comps.size()));
     for (const TermSlot& slot : plan.slots) {
-      slot.list->push_back(Posting{xml::Dewey(comps), plan.type});
+      slot.list->Append(label, plan.type);
       for (KeywordTypeStats* cell : slot.cells) cell->tf += slot.count;
     }
   };
@@ -186,22 +192,9 @@ std::unique_ptr<IndexedCorpus> BuildIndexFromDag(
 
   // Pass 2 is representation-independent: it reads the finished posting
   // lists, which match the uncompressed builder's exactly.
-  for (const auto& [keyword, list] : index.lists()) {
-    std::vector<xml::Dewey> last_seen;  // indexed by depth-1
-    for (const Posting& p : list) {
-      const auto& chain = chains.ChainOf(p.type);
-      if (last_seen.size() < chain.size()) last_seen.resize(chain.size());
-      for (size_t d = 0; d < chain.size(); ++d) {
-        xml::Dewey anchor = p.dewey.Prefix(d + 1);
-        if (last_seen[d] != anchor) {
-          stats.AddDocumentFrequency(keyword, chain[d]);
-          last_seen[d] = std::move(anchor);
-        }
-      }
-    }
-  }
-
+  AddDocumentFrequencies(index, &chains, &stats);
   stats.FinalizeDistinctCounts();
+  index.ShrinkToFit();
   return corpus;
 }
 

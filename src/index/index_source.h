@@ -25,7 +25,6 @@
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
 #include "index/flat_postings.h"
-#include "index/posting.h"
 #include "index/statistics.h"
 #include "xml/node_type.h"
 
@@ -42,11 +41,10 @@ namespace xrefine::index {
 
 class CooccurrenceTable;
 
-/// A pinned posting list in the columnar serving layout
-/// (index::FlatPostingList). Null when the keyword has no list. The pointee
-/// is immutable and outlives the handle; for in-memory sources the handle
-/// is a free alias into the index's flat mirror, for store-backed sources
-/// it co-owns the decoded list with the cache.
+/// A pinned posting list (index::FlatPostingList). Null when the keyword
+/// has no list. The pointee is immutable and outlives the handle; for
+/// in-memory sources the handle is a free alias to the index's own list,
+/// for store-backed sources it co-owns the decoded list with the cache.
 class PostingListHandle {
  public:
   PostingListHandle() = default;

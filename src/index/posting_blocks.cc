@@ -1,8 +1,11 @@
 #include "index/posting_blocks.h"
 
 #include <algorithm>
+#include <vector>
 
+#include "common/metrics.h"
 #include "storage/serde.h"
+#include "xml/dewey.h"
 
 namespace xrefine::index {
 
@@ -11,28 +14,28 @@ namespace {
 using storage::GetVarint32;
 using storage::PutVarint32;
 
-constexpr uint8_t kFormatPrefixDelta = 2;
 constexpr uint8_t kFormatBlocked = 3;
 
-// Appends one posting to `dst` in prefix-delta form relative to `prev`
-// (nullptr for a block's first posting).
-void PutDeltaPosting(std::string* dst, const Posting& p, const xml::Dewey* prev) {
-  uint32_t reuse = 0;
-  if (prev != nullptr) {
-    size_t limit = std::min(prev->depth(), p.dewey.depth());
-    while (reuse < limit && (*prev)[reuse] == p.dewey[reuse]) ++reuse;
-  }
-  PutVarint32(dst, p.type);
-  PutVarint32(dst, reuse);
-  PutVarint32(dst, static_cast<uint32_t>(p.dewey.depth()) - reuse);
-  for (size_t d = reuse; d < p.dewey.depth(); ++d) PutVarint32(dst, p.dewey[d]);
+struct DecodeMetrics {
+  metrics::Counter* list_fetches;   // records fed to DecodePostingsFlat
+  metrics::Counter* bytes_decoded;  // their encoded bytes
+};
+
+const DecodeMetrics& Metrics() {
+  static const DecodeMetrics m = [] {
+    auto& r = metrics::Registry::Global();
+    return DecodeMetrics{r.counter("index.list_fetches"),
+                         r.counter("index.bytes_decoded")};
+  }();
+  return m;
 }
 
 // Decodes `count` prefix-delta postings from [*p, payload_limit) into `out`.
-// `scratch` carries the previous label across postings (cleared by the
-// caller at block boundaries for v3, or once per record for v2).
-Status DecodeDeltaRun(const char** p, const char* payload_limit, uint32_t count,
-                      std::vector<uint32_t>* scratch, FlatPostingList* out) {
+// `scratch` carries the previous label across the block's postings.
+Status DecodeDeltaRun(const char** p, const char* payload_limit,
+                      uint32_t count, std::vector<uint32_t>* scratch,
+                      FlatPostingList* out) {
+  scratch->clear();
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t type = 0;
     uint32_t reuse = 0;
@@ -62,8 +65,8 @@ Status DecodeDeltaRun(const char** p, const char* payload_limit, uint32_t count,
 
 }  // namespace
 
-std::string EncodePostingsBlocked(const PostingList& list,
-                                  size_t block_capacity) {
+std::string EncodePostings(const FlatPostingList& list,
+                           size_t block_capacity) {
   if (block_capacity == 0) block_capacity = kDefaultPostingBlockCapacity;
   std::string out;
   out.push_back(static_cast<char>(kFormatBlocked));
@@ -73,25 +76,32 @@ std::string EncodePostingsBlocked(const PostingList& list,
   for (size_t begin = 0; begin < list.size(); begin += block_capacity) {
     size_t end = std::min(begin + block_capacity, list.size());
     payload.clear();
-    const xml::Dewey* prev = nullptr;
     for (size_t i = begin; i < end; ++i) {
-      PutDeltaPosting(&payload, list[i], prev);
-      prev = &list[i].dewey;
+      const xml::DeweyRef label = list.label(i);
+      const uint32_t reuse =
+          i == begin ? 0
+                     : static_cast<uint32_t>(
+                           xml::CommonPrefixDepth(list.label(i - 1), label));
+      PutVarint32(&payload, list.type(i));
+      PutVarint32(&payload, reuse);
+      PutVarint32(&payload, label.len - reuse);
+      for (uint32_t d = reuse; d < label.len; ++d) {
+        PutVarint32(&payload, label[d]);
+      }
     }
     PutVarint32(&out, static_cast<uint32_t>(payload.size()));
     PutVarint32(&out, static_cast<uint32_t>(end - begin));
-    const xml::Dewey& max = list[end - 1].dewey;
-    PutVarint32(&out, static_cast<uint32_t>(max.depth()));
-    for (size_t d = 0; d < max.depth(); ++d) PutVarint32(&out, max[d]);
+    const xml::DeweyRef max = list.label(end - 1);
+    PutVarint32(&out, max.len);
+    for (uint32_t d = 0; d < max.len; ++d) PutVarint32(&out, max[d]);
     out += payload;
   }
   return out;
 }
 
-StatusOr<BlockedPostingCursor> BlockedPostingCursor::Open(
-    std::string_view data) {
-  BlockedPostingCursor cursor;
-  cursor.data_ = data;
+Status DecodePostingsFlat(std::string_view data, FlatPostingList* out) {
+  Metrics().list_fetches->Increment();
+  Metrics().bytes_decoded->Increment(data.size());
   const char* p = data.data();
   const char* limit = data.data() + data.size();
   if (p >= limit) return Status::Corruption("postings: empty record");
@@ -108,10 +118,22 @@ StatusOr<BlockedPostingCursor> BlockedPostingCursor::Open(
   if (capacity == 0) {
     return Status::Corruption("postings: zero block capacity");
   }
-  cursor.posting_count_ = total;
+  // `total` is untrusted until the block counts sum to it. Every posting
+  // costs at least 3 payload bytes (three one-byte varints), so a total
+  // beyond remaining/3 cannot be honoured: reject it before it sizes the
+  // reserve (a hostile count must not drive a multi-GB allocation).
+  const size_t remaining = static_cast<size_t>(limit - p);
+  if (total > remaining / 3) {
+    return Status::Corruption("postings: count " + std::to_string(total) +
+                              " exceeds record capacity (" +
+                              std::to_string(remaining) + " bytes)");
+  }
+  out->Reserve(total);
+
+  std::vector<uint32_t> max;      // the current block's header max label
+  std::vector<uint32_t> scratch;  // the previous label within a block
   uint64_t seen = 0;
   while (p < limit) {
-    BlockMeta meta;
     uint32_t payload_bytes = 0;
     uint32_t count = 0;
     uint32_t max_depth = 0;
@@ -124,120 +146,62 @@ StatusOr<BlockedPostingCursor> BlockedPostingCursor::Open(
       return Status::Corruption("postings: bad block count");
     }
     // A max label deeper than the remaining bytes could encode is hostile
-    // (each component costs >= 1 byte) — reject before reserving.
+    // (each component costs >= 1 byte) — reject before growing `max`.
     if (max_depth > static_cast<size_t>(limit - p)) {
       return Status::Corruption("postings: block max depth exceeds record");
     }
-    meta.max_offset = static_cast<uint32_t>(cursor.max_components_.size());
-    meta.max_len = max_depth;
+    max.clear();
     for (uint32_t d = 0; d < max_depth; ++d) {
       uint32_t c = 0;
       if (!GetVarint32(&p, limit, &c)) {
         return Status::Corruption("postings: truncated block max label");
       }
-      cursor.max_components_.push_back(c);
+      max.push_back(c);
     }
     if (payload_bytes > static_cast<size_t>(limit - p)) {
       return Status::Corruption("postings: block payload exceeds record");
     }
-    // Each posting costs at least 3 bytes (three one-byte varints).
     if (count > payload_bytes / 3) {
       return Status::Corruption("postings: block count exceeds payload");
     }
-    meta.payload_offset = static_cast<size_t>(p - data.data());
-    meta.payload_bytes = payload_bytes;
-    meta.count = count;
-    meta.first = static_cast<size_t>(seen);
-    seen += count;
-    p += payload_bytes;
-    cursor.blocks_.push_back(meta);
-    // The skip directory is only usable if block maxes are in document
-    // order — FindBlock binary-searches them. A record whose maxes go
-    // backwards would not crash, it would silently mis-route probes and
-    // drop postings from query results, so treat it as corruption here.
-    const size_t b = cursor.blocks_.size() - 1;
-    if (b > 0 && cursor.block_max(b) < cursor.block_max(b - 1)) {
+    // Block maxes ascend in document order. The previous block's max is
+    // its decoded last label (checked below), so compare against that.
+    const xml::DeweyRef block_max(max.data(), max_depth);
+    if (!out->empty() && block_max < out->label(out->size() - 1)) {
       return Status::Corruption("postings: block max labels out of order");
     }
+    const char* payload_limit = p + payload_bytes;
+    XREFINE_RETURN_IF_ERROR(
+        DecodeDeltaRun(&p, payload_limit, count, &scratch, out));
+    if (p != payload_limit) {
+      return Status::Corruption("postings: block payload has trailing bytes");
+    }
+    // Self-check: the header max must be the block's decoded last label.
+    if (out->label(out->size() - 1) != block_max) {
+      return Status::Corruption("postings: block max label mismatch");
+    }
+    seen += count;
   }
   if (seen != total) {
     return Status::Corruption("postings: block counts sum to " +
                               std::to_string(seen) + ", record declares " +
                               std::to_string(total));
   }
-  return cursor;
-}
-
-size_t BlockedPostingCursor::FindBlock(const xml::DeweyRef& v) const {
-  size_t lo = 0;
-  size_t hi = blocks_.size();
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (block_max(mid) < v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-Status BlockedPostingCursor::DecodeBlock(size_t b, FlatPostingList* out) const {
-  const BlockMeta& meta = blocks_[b];
-  const char* p = data_.data() + meta.payload_offset;
-  const char* payload_limit = p + meta.payload_bytes;
-  std::vector<uint32_t> scratch;
-  XREFINE_RETURN_IF_ERROR(
-      DecodeDeltaRun(&p, payload_limit, meta.count, &scratch, out));
-  if (p != payload_limit) {
-    return Status::Corruption("postings: block payload has trailing bytes");
-  }
-  // The decoded last label must match the header's skip key, or the skip
-  // directory would silently route probes past real postings.
-  if (out->empty() || out->label(out->size() - 1) != block_max(b)) {
-    return Status::Corruption("postings: block max label mismatch");
-  }
   return Status::OK();
 }
 
-Status BlockedPostingCursor::DecodeAll(FlatPostingList* out) const {
-  for (size_t b = 0; b < blocks_.size(); ++b) {
-    XREFINE_RETURN_IF_ERROR(DecodeBlock(b, out));
-  }
-  return Status::OK();
-}
-
-Status DecodePostingsFlat(std::string_view data, FlatPostingList* out) {
-  const char* p = data.data();
-  const char* limit = data.data() + data.size();
+Status DecodePostingCount(std::string_view data_prefix, uint32_t* count) {
+  const char* p = data_prefix.data();
+  const char* limit = data_prefix.data() + data_prefix.size();
   if (p >= limit) return Status::Corruption("postings: empty record");
-  uint8_t version = static_cast<uint8_t>(*p);
-  if (version == kFormatBlocked) {
-    auto cursor_or = BlockedPostingCursor::Open(data);
-    if (!cursor_or.ok()) return cursor_or.status();
-    out->Reserve(cursor_or.value().posting_count(), 0);
-    return cursor_or.value().DecodeAll(out);
-  }
-  if (version != kFormatPrefixDelta) {
+  uint8_t version = static_cast<uint8_t>(*p++);
+  if (version != kFormatBlocked) {
     return Status::Corruption("postings: unsupported format version " +
                               std::to_string(version));
   }
-  ++p;
-  uint32_t count = 0;
-  if (!GetVarint32(&p, limit, &count)) {
+  // The total posting count follows the version byte directly.
+  if (!GetVarint32(&p, limit, count)) {
     return Status::Corruption("postings: bad count");
-  }
-  size_t remaining = static_cast<size_t>(limit - p);
-  if (count > remaining / 3) {
-    return Status::Corruption("postings: count " + std::to_string(count) +
-                              " exceeds record capacity (" +
-                              std::to_string(remaining) + " bytes)");
-  }
-  out->Reserve(count, 0);
-  std::vector<uint32_t> scratch;
-  XREFINE_RETURN_IF_ERROR(DecodeDeltaRun(&p, limit, count, &scratch, out));
-  if (p != limit) {
-    return Status::Corruption("postings: record has trailing bytes");
   }
   return Status::OK();
 }

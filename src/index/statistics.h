@@ -34,14 +34,18 @@ class StatisticsTable {
   /// Build-path only: lets the DAG index builder resolve the slot once per
   /// shared subtree and bump it per instance without re-hashing.
   uint32_t* MutableNodeCount(xml::TypeId type) { return &node_count_[type]; }
+  /// Stable per-type row for `keyword`, created empty when absent.
+  /// Build-path only: resolves the keyword once, so later cell updates
+  /// hash only the type id.
+  PerTypeStats* MutableTypeStatsFor(std::string_view keyword) {
+    return &per_keyword_.try_emplace(std::string(keyword)).first->second;
+  }
   /// Stable cell for (keyword, type) term stats, created zeroed when
   /// absent. Build-path only; unordered_map nodes never move, so cached
   /// cell pointers survive later insertions.
   KeywordTypeStats* MutableKeywordTypeStats(std::string_view keyword,
                                             xml::TypeId type) {
-    return &per_keyword_.try_emplace(std::string(keyword))
-                .first->second.try_emplace(type)
-                .first->second;
+    return &MutableTypeStatsFor(keyword)->try_emplace(type).first->second;
   }
   void AddTermFrequency(std::string_view keyword, xml::TypeId type,
                         uint64_t count);

@@ -131,8 +131,7 @@ StatusOr<PostingListHandle> StoreBackedIndexSource::FetchListImpl(
     auto it = cache_.find(key);
     if (it != cache_.end()) {
       Metrics().hits->Increment();
-      std::list<std::string>& home = it->second.in_window ? window_lru_ : lru_;
-      home.splice(home.begin(), home, it->second.lru_it);
+      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       return PostingListHandle(it->second.list);
     }
   }
@@ -165,29 +164,8 @@ StatusOr<PostingListHandle> StoreBackedIndexSource::FetchListImpl(
   if (it != cache_.end()) {
     // A concurrent miss on the same keyword inserted first; adopt its copy
     // so all handles share one list.
-    std::list<std::string>& home = it->second.in_window ? window_lru_ : lru_;
-    home.splice(home.begin(), home, it->second.lru_it);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return PostingListHandle(it->second.list);
-  }
-
-  if (window_capacity_bytes_ != 0) {
-    // W-TinyLFU: every new list enters the recency window without a duel —
-    // a recency-biased burst gets its shot at the cache even though the
-    // sketch has never seen it. The squeeze below makes room by demoting
-    // the window's coldest entries into the main segment, where the usual
-    // admission duel decides whether they stay.
-    window_lru_.push_front(key);
-    CacheEntry entry;
-    entry.list = list;
-    entry.bytes = bytes;
-    entry.lru_it = window_lru_.begin();
-    entry.in_window = true;
-    cache_.emplace(std::move(key), std::move(entry));
-    cache_bytes_ += bytes;
-    window_bytes_ += bytes;
-    DemoteWindowOverflowLocked();
-    Metrics().bytes->Set(static_cast<int64_t>(cache_bytes_));
-    return PostingListHandle(std::move(list));
   }
 
   // TinyLFU admission: inserting under eviction pressure is only allowed
@@ -238,59 +216,6 @@ StatusOr<PostingListHandle> StoreBackedIndexSource::FetchListImpl(
   }
   Metrics().bytes->Set(static_cast<int64_t>(cache_bytes_));
   return PostingListHandle(std::move(list));
-}
-
-void StoreBackedIndexSource::DemoteWindowOverflowLocked() const {
-  // Main segment gets whatever the window doesn't: its own budget, trimmed
-  // independently below.
-  const size_t main_capacity =
-      options_.cache_capacity_bytes > window_capacity_bytes_
-          ? options_.cache_capacity_bytes - window_capacity_bytes_
-          : 0;
-  while (window_bytes_ > window_capacity_bytes_ && !window_lru_.empty()) {
-    auto vit = cache_.find(window_lru_.back());
-    const size_t vbytes = vit->second.bytes;
-    const uint64_t candidate_freq = lfu_.Estimate(vit->first);
-    size_t main_bytes = cache_bytes_ - window_bytes_;
-
-    // The duel: the demoted entry claims a main slot only when every main
-    // victim that would have to go to fit it is strictly colder.
-    bool admit = true;
-    if (main_bytes + vbytes > main_capacity) {
-      size_t must_free = main_bytes + vbytes - main_capacity;
-      size_t freed = 0;
-      for (auto mit = lru_.rbegin(); mit != lru_.rend() && freed < must_free;
-           ++mit) {
-        if (lfu_.Estimate(*mit) >= candidate_freq) {
-          admit = false;
-          break;
-        }
-        freed += cache_.find(*mit)->second.bytes;
-      }
-    }
-    if (!admit) {
-      Metrics().rejected->Increment();
-      window_bytes_ -= vbytes;
-      cache_bytes_ -= vbytes;
-      window_lru_.pop_back();
-      cache_.erase(vit);
-      continue;
-    }
-    if (main_bytes + vbytes > main_capacity) Metrics().admitted->Increment();
-    vit->second.in_window = false;
-    lru_.splice(lru_.begin(), window_lru_, vit->second.lru_it);
-    window_bytes_ -= vbytes;
-    // Trim main to budget, coldest first; the just-demoted entry sits at
-    // the front and survives unless it alone exceeds the whole budget.
-    size_t main_now = cache_bytes_ - window_bytes_;
-    while (main_now > main_capacity && lru_.size() > 1) {
-      auto evict = cache_.find(lru_.back());
-      main_now -= evict->second.bytes;
-      cache_bytes_ -= evict->second.bytes;
-      cache_.erase(evict);
-      lru_.pop_back();
-    }
-  }
 }
 
 void StoreBackedIndexSource::Prefetch(

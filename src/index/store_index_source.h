@@ -10,7 +10,6 @@
 #ifndef XREFINE_INDEX_STORE_INDEX_SOURCE_H_
 #define XREFINE_INDEX_STORE_INDEX_SOURCE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -46,16 +45,6 @@ struct StoreIndexSourceOptions {
   /// Sketch sizing for the admission filter (ignored when admission is
   /// off).
   TinyLfuOptions admission;
-  /// W-TinyLFU recency window (Einziger et al.): this fraction of the byte
-  /// budget forms a windowed-LRU stage in FRONT of the admission duel. New
-  /// lists always enter the window (recency-biased bursts stop paying the
-  /// sketch duel on first touch); entries squeezed out of the window duel
-  /// into the main TinyLFU-guarded segment, and only lose their slot when
-  /// a needed main victim is estimated at least as hot. 0 (default) = no
-  /// window, the plain-TinyLFU behavior every existing test pins down.
-  /// Only meaningful with cache_admission on and a nonzero capacity;
-  /// clamped to [0, 1].
-  double window_fraction = 0.0;
   /// Lazy vocabulary: skip the open-time O(vocabulary) record-head scan and
   /// serve keyword-existence probes from the persisted Bloom filter
   /// instead. A definite bloom miss (the common case for spelling-probe
@@ -118,18 +107,12 @@ class StoreBackedIndexSource : public IndexSource {
     MutexLock lock(&mu_);
     return cache_.find(std::string(keyword)) != cache_.end();
   }
-  /// Lists currently in the W-TinyLFU recency window (0 with no window).
-  size_t window_lists() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return window_lru_.size();
-  }
 
  private:
   struct CacheEntry {
     std::shared_ptr<const FlatPostingList> list;
     size_t bytes = 0;
     std::list<std::string>::iterator lru_it;
-    bool in_window = false;  // which LRU list lru_it points into
   };
 
   explicit StoreBackedIndexSource(const storage::KVStore* store,
@@ -137,14 +120,7 @@ class StoreBackedIndexSource : public IndexSource {
       : store_(store),
         options_(options),
         cooccurrence_(this, &types_),
-        lfu_(options.admission) {
-    if (options_.cache_admission && options_.cache_capacity_bytes != 0) {
-      double f = std::min(1.0, std::max(0.0, options_.window_fraction));
-      window_capacity_bytes_ =
-          static_cast<size_t>(f * static_cast<double>(
-                                      options_.cache_capacity_bytes));
-    }
-  }
+        lfu_(options.admission) {}
 
   /// The one fetch path; `record_access` separates real query fetches
   /// (which feed the admission sketch) from advisory Prefetch warming
@@ -164,12 +140,6 @@ class StoreBackedIndexSource : public IndexSource {
   /// Lazy mode only: runs the full record-head scan once, on the first
   /// caller that genuinely needs the whole vocabulary (ForEachKeyword).
   void EnsureFullVocabulary() const EXCLUDES(vocab_mu_);
-
-  /// Squeezes the recency window down to its byte budget: each evictee
-  /// duels into the main segment (admitted when every main victim it would
-  /// displace is strictly colder), then the main segment is trimmed to its
-  /// own budget. No-op without a window.
-  void DemoteWindowOverflowLocked() const REQUIRES(mu_);
 
   const storage::KVStore* store_;  // not owned
   StoreIndexSourceOptions options_;
@@ -198,13 +168,7 @@ class StoreBackedIndexSource : public IndexSource {
   mutable Mutex mu_{kLockRankStoreSourceCache, "StoreBackedIndexSource::mu_"};
   mutable std::unordered_map<std::string, CacheEntry> cache_ GUARDED_BY(mu_);
   mutable std::list<std::string> lru_ GUARDED_BY(mu_);  // front = hottest
-  mutable size_t cache_bytes_ GUARDED_BY(mu_) = 0;  // window + main together
-  // W-TinyLFU recency window: a separate LRU whose entries bypass the
-  // admission duel on insert and only face it on demotion. Empty (and
-  // window_capacity_bytes_ == 0) unless options_.window_fraction > 0.
-  mutable std::list<std::string> window_lru_ GUARDED_BY(mu_);
-  mutable size_t window_bytes_ GUARDED_BY(mu_) = 0;
-  size_t window_capacity_bytes_ = 0;
+  mutable size_t cache_bytes_ GUARDED_BY(mu_) = 0;
   // Admission sketch; advises eviction decisions under the same latch as
   // the LRU it protects.
   mutable TinyLfu lfu_ GUARDED_BY(mu_);

@@ -17,19 +17,6 @@ std::vector<SlcaResult> ComputeSlca(const std::vector<PostingSpan>& lists,
   return {};
 }
 
-std::vector<SlcaResult> ComputeSlcaForQuery(
-    const std::vector<std::string>& query, const index::InvertedIndex& index,
-    const xml::NodeTypeTable& types, SlcaAlgorithm algorithm) {
-  std::vector<PostingSpan> lists;
-  lists.reserve(query.size());
-  for (const std::string& k : query) {
-    const index::FlatPostingList* list = index.FindFlat(k);
-    if (list == nullptr) return {};  // conjunctive semantics
-    lists.emplace_back(*list);
-  }
-  return ComputeSlca(lists, types, algorithm);
-}
-
 StatusOr<std::vector<SlcaResult>> ComputeSlcaForQuery(
     const std::vector<std::string>& query, const index::IndexSource& source,
     const xml::NodeTypeTable& types, SlcaAlgorithm algorithm) {

@@ -7,7 +7,6 @@
 
 #include "common/statusor.h"
 #include "index/index_source.h"
-#include "index/inverted_index.h"
 #include "slca/indexed_lookup_eager.h"
 #include "slca/scan_eager.h"
 #include "slca/search_for_node.h"
@@ -27,16 +26,11 @@ std::vector<SlcaResult> ComputeSlca(const std::vector<PostingSpan>& lists,
                                     const xml::NodeTypeTable& types,
                                     SlcaAlgorithm algorithm);
 
-/// Convenience: looks up the inverted list of each keyword (missing keyword
-/// => empty conjunctive result) and computes SLCA.
-std::vector<SlcaResult> ComputeSlcaForQuery(
-    const std::vector<std::string>& query, const index::InvertedIndex& index,
-    const xml::NodeTypeTable& types, SlcaAlgorithm algorithm);
-
-/// Same, but fetching (and pinning) the lists through an IndexSource, so
-/// queries run identically over the in-memory index and the persistent
-/// store. A missing keyword still yields the empty conjunctive result;
-/// non-OK means the backing store failed mid-fetch.
+/// Fetches (and pins) the inverted list of each keyword through an
+/// IndexSource, so queries run identically over the in-memory corpus and
+/// the persistent store, and computes SLCA. A missing keyword yields the
+/// empty conjunctive result; non-OK means the backing store failed
+/// mid-fetch.
 [[nodiscard]] StatusOr<std::vector<SlcaResult>> ComputeSlcaForQuery(
     const std::vector<std::string>& query, const index::IndexSource& source,
     const xml::NodeTypeTable& types, SlcaAlgorithm algorithm);

@@ -88,7 +88,7 @@ std::vector<std::string> RunElca(const testutil::Corpus& corpus,
                                  const std::vector<std::string>& q) {
   std::vector<PostingSpan> lists;
   for (const auto& k : q) {
-    const index::FlatPostingList* list = corpus.index->index().FindFlat(k);
+    const index::FlatPostingList* list = corpus.index->index().Find(k);
     if (list == nullptr) return {};
     lists.emplace_back(*list);
   }
@@ -109,9 +109,11 @@ TEST(ElcaTest, AncestorWithIndependentWitnessesIsReturned) {
   // "xml" appears in both of John's titles; "search" in one of them and in
   // Mary's. SLCA({xml, search}) = the first title only; ELCA additionally
   // keeps ancestors with their own exclusive witnesses.
-  auto slca_results = DeweyStrings(slca::ComputeSlcaForQuery(
-      {"xml", "search"}, corpus.index->index(), corpus.index->types(),
-      slca::SlcaAlgorithm::kStack));
+  auto slca_results = DeweyStrings(
+      slca::ComputeSlcaForQuery({"xml", "search"}, *corpus.index,
+                                corpus.index->types(),
+                                slca::SlcaAlgorithm::kStack)
+          .value());
   auto elca_results = RunElca(corpus, {"xml", "search"});
   for (const auto& s : slca_results) {
     EXPECT_NE(std::find(elca_results.begin(), elca_results.end(), s),
@@ -160,7 +162,7 @@ TEST_P(ElcaDifferentialTest, MatchesBruteForce) {
       std::vector<PostingSpan> lists;
       bool missing = false;
       for (const auto& k : q) {
-        const index::FlatPostingList* list = corpus->index().FindFlat(k);
+        const index::FlatPostingList* list = corpus->index().Find(k);
         if (list == nullptr) {
           missing = true;
           break;
@@ -262,8 +264,9 @@ TEST(ResultRankingTest, DenserResultRanksHigher) {
   </author>
 </bib>)");
   auto results = slca::ComputeSlcaForQuery(
-      {"xml", "article"}, corpus.index->index(), corpus.index->types(),
-      slca::SlcaAlgorithm::kStack);
+                     {"xml", "article"}, *corpus.index,
+                     corpus.index->types(), slca::SlcaAlgorithm::kStack)
+                     .value();
   ASSERT_EQ(results.size(), 2u);
   auto ranked = core::RankResults(*corpus.index, {"xml", "article"},
                                   std::move(results));

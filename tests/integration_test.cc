@@ -71,8 +71,9 @@ TEST_F(IntegrationTest, RefinedResultsMatchDirectSlcaOfTheRq) {
     // Recompute SLCA directly for the refined keyword set and check that
     // every returned result is among the meaningful SLCAs.
     auto direct = slca::ComputeSlcaForQuery(
-        ranked.rq.keywords, corpus_->index(), corpus_->types(),
-        slca::SlcaAlgorithm::kScanEager);
+                      ranked.rq.keywords, *corpus_, corpus_->types(),
+                      slca::SlcaAlgorithm::kScanEager)
+                      .value();
     auto input = engine.Prepare({"databse", "query"});
     auto meaningful = slca::FilterMeaningful(std::move(direct),
                                              input.search_for,

@@ -163,8 +163,9 @@ TEST_P(Lemma1Test, SubsetsInheritMeaningfulResults) {
                                                 corpus->types());
     auto meaningful_of = [&](const core::Query& q) {
       auto results = slca::ComputeSlcaForQuery(
-          q, corpus->index(), corpus->types(),
-          slca::SlcaAlgorithm::kScanEager);
+                         q, *corpus, corpus->types(),
+                         slca::SlcaAlgorithm::kScanEager)
+                         .value();
       return slca::FilterMeaningful(std::move(results), candidates,
                                     corpus->types());
     };

@@ -1,29 +1,35 @@
-// Tests for the block-compressed posting codec (stored format v3) and the
-// flat decode path shared with v2: round-trips, block geometry, the skip
-// directory, and — the load-bearing part — corruption fuzzing. The decode
-// contract is "non-OK Status or exactly the declared postings": a truncated
-// or bit-flipped record must never yield a silently short list.
+// Tests for the stored posting-list format (record version 3) and its one
+// decoder: round-trips, block geometry, the committed fuzz seeds pinned
+// byte for byte, and — the load-bearing part — corruption fuzzing plus one
+// hand-built record per decode check. The decode contract is "non-OK Status
+// or exactly the declared postings": a truncated or bit-flipped record must
+// never yield a silently short list.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
-#include "index/index_store.h"
 #include "index/posting_blocks.h"
 #include "storage/serde.h"
 
 namespace xrefine::index {
 namespace {
 
-Posting P(std::vector<uint32_t> comps, xml::TypeId type = 0) {
-  return Posting{xml::Dewey(std::move(comps)), type};
+// A list of type-0 postings with the given labels, in the given order.
+FlatPostingList L(std::initializer_list<std::vector<uint32_t>> labels) {
+  FlatPostingList list;
+  for (const auto& label : labels) list.Append(xml::Dewey(label), 0);
+  return list;
 }
 
 // A random document-ordered posting list with deep chains, duplicate
 // labels, and ancestor/descendant pairs in the same list.
-PostingList RandomList(Random& rng, size_t n, size_t max_depth) {
-  PostingList list;
+FlatPostingList RandomList(Random& rng, size_t n, size_t max_depth) {
+  FlatPostingList list;
   std::vector<uint32_t> label = {0};
   for (size_t i = 0; i < n; ++i) {
     // Random walk in document order: either descend (append components),
@@ -39,45 +45,79 @@ PostingList RandomList(Random& rng, size_t n, size_t max_depth) {
       label.resize(cut);
       label.back() += static_cast<uint32_t>(rng.Uniform(1, 3));
     }
-    list.push_back(
-        Posting{xml::Dewey(label),
-                static_cast<xml::TypeId>(rng.Uniform(0, 7))});
+    list.Append(xml::Dewey(label),
+                static_cast<xml::TypeId>(rng.Uniform(0, 7)));
   }
   return list;
 }
 
-void ExpectRoundTrip(const PostingList& list, size_t block_capacity) {
-  std::string record = EncodePostingsBlocked(list, block_capacity);
-  FlatPostingList flat;
-  ASSERT_TRUE(DecodePostingsFlat(record, &flat).ok());
-  EXPECT_EQ(flat.ToPostings(), list);
-  // The AoS decode path serves the same bytes.
-  PostingList aos;
-  ASSERT_TRUE(DecodePostings(record, &aos).ok());
-  EXPECT_EQ(aos, list);
+void ExpectRoundTrip(const FlatPostingList& list, size_t block_capacity) {
+  std::string record = EncodePostings(list, block_capacity);
+  FlatPostingList decoded;
+  ASSERT_TRUE(DecodePostingsFlat(record, &decoded).ok());
+  EXPECT_EQ(decoded, list);
+  uint32_t count = 0;
+  ASSERT_TRUE(DecodePostingCount(record, &count).ok());
+  EXPECT_EQ(count, list.size());
+}
+
+// One block header as written, plus its first posting's reuse count.
+struct BlockHeader {
+  uint32_t count = 0;
+  std::vector<uint32_t> max;
+  uint32_t first_reuse = 0;
+};
+
+// Walks a well-formed record's block headers (test-side reader of the
+// layout documented in posting_blocks.h).
+std::vector<BlockHeader> ReadBlockHeaders(const std::string& record,
+                                          uint32_t* capacity) {
+  const char* p = record.data() + 1;
+  const char* limit = record.data() + record.size();
+  uint32_t total = 0;
+  EXPECT_TRUE(storage::GetVarint32(&p, limit, &total));
+  EXPECT_TRUE(storage::GetVarint32(&p, limit, capacity));
+  std::vector<BlockHeader> blocks;
+  while (p < limit) {
+    BlockHeader block;
+    uint32_t payload_bytes = 0;
+    uint32_t depth = 0;
+    EXPECT_TRUE(storage::GetVarint32(&p, limit, &payload_bytes));
+    EXPECT_TRUE(storage::GetVarint32(&p, limit, &block.count));
+    EXPECT_TRUE(storage::GetVarint32(&p, limit, &depth));
+    block.max.resize(depth);
+    for (uint32_t& c : block.max) {
+      EXPECT_TRUE(storage::GetVarint32(&p, limit, &c));
+    }
+    const char* payload = p;
+    uint32_t type = 0;
+    EXPECT_TRUE(storage::GetVarint32(&payload, limit, &type));
+    EXPECT_TRUE(storage::GetVarint32(&payload, limit, &block.first_reuse));
+    p += payload_bytes;
+    blocks.push_back(std::move(block));
+  }
+  return blocks;
 }
 
 TEST(PostingBlocksTest, RoundTripAcrossCapacities) {
   Random rng(7);
-  PostingList list = RandomList(rng, 1000, 12);
+  FlatPostingList list = RandomList(rng, 1000, 12);
   for (size_t capacity : {1u, 2u, 3u, 7u, 128u, 2048u}) {
     ExpectRoundTrip(list, capacity);
   }
 }
 
 TEST(PostingBlocksTest, RoundTripEmptyList) {
-  ExpectRoundTrip(PostingList{}, 128);
-  std::string record = EncodePostingsBlocked(PostingList{});
-  auto cursor_or = BlockedPostingCursor::Open(record);
-  ASSERT_TRUE(cursor_or.ok());
-  EXPECT_EQ(cursor_or.value().posting_count(), 0u);
-  EXPECT_EQ(cursor_or.value().block_count(), 0u);
+  ExpectRoundTrip(FlatPostingList{}, 128);
+  // Version 3, zero postings, capacity 128 (a two-byte varint), no blocks.
+  EXPECT_EQ(EncodePostings(FlatPostingList{}),
+            std::string("\x03\x00\x80\x01", 4));
 }
 
 TEST(PostingBlocksTest, RoundTripSinglePosting) {
-  ExpectRoundTrip({P({0, 3, 1})}, 128);
+  ExpectRoundTrip(L({{0, 3, 1}}), 128);
   // Root (depth-0) label is representable too.
-  ExpectRoundTrip({P({})}, 128);
+  ExpectRoundTrip(L({{}}), 128);
 }
 
 TEST(PostingBlocksTest, RoundTripMaxDepthLabel) {
@@ -85,7 +125,10 @@ TEST(PostingBlocksTest, RoundTripMaxDepthLabel) {
   // 512). deep starts with 0, so document order is {0} < deep < {1}.
   std::vector<uint32_t> deep;
   for (uint32_t d = 0; d < 512; ++d) deep.push_back(d % 5);
-  PostingList list = {P({0}), P(deep), P({1})};
+  FlatPostingList list;
+  list.Append(xml::Dewey({0}), 0);
+  list.Append(xml::Dewey(deep), 0);
+  list.Append(xml::Dewey({1}), 0);
   for (size_t capacity : {1u, 2u, 128u}) ExpectRoundTrip(list, capacity);
 }
 
@@ -93,76 +136,101 @@ TEST(PostingBlocksTest, BlockBoundaryStraddle) {
   // capacity*2+1 postings: two full blocks plus a one-posting tail, with a
   // deep shared prefix crossing the boundary so the first posting of each
   // block must re-carry the full label (blocks are self-contained).
-  const size_t capacity = 4;
-  PostingList list;
+  const uint32_t capacity = 4;
+  FlatPostingList list;
   for (uint32_t i = 0; i < 2 * capacity + 1; ++i) {
-    list.push_back(P({0, 1, 2, 3, i}));
+    list.Append(xml::Dewey({0, 1, 2, 3, i}), 0);
   }
-  std::string record = EncodePostingsBlocked(list, capacity);
-  auto cursor_or = BlockedPostingCursor::Open(record);
-  ASSERT_TRUE(cursor_or.ok());
-  const auto& cursor = cursor_or.value();
-  ASSERT_EQ(cursor.block_count(), 3u);
-  EXPECT_EQ(cursor.block_size(0), capacity);
-  EXPECT_EQ(cursor.block_size(1), capacity);
-  EXPECT_EQ(cursor.block_size(2), 1u);
-  EXPECT_EQ(cursor.block_first_posting(0), 0u);
-  EXPECT_EQ(cursor.block_first_posting(1), capacity);
-  EXPECT_EQ(cursor.block_first_posting(2), 2 * capacity);
-
-  // Decoding only the middle block yields exactly its slice.
-  FlatPostingList middle;
-  ASSERT_TRUE(cursor.DecodeBlock(1, &middle).ok());
-  ASSERT_EQ(middle.size(), capacity);
-  for (size_t i = 0; i < capacity; ++i) {
-    EXPECT_EQ(middle.DeweyAt(i), list[capacity + i].dewey);
-    EXPECT_EQ(middle.type(i), list[capacity + i].type);
-  }
+  std::string record = EncodePostings(list, capacity);
+  uint32_t declared_capacity = 0;
+  std::vector<BlockHeader> blocks = ReadBlockHeaders(record, &declared_capacity);
+  EXPECT_EQ(declared_capacity, capacity);
+  ASSERT_EQ(blocks.size(), 3u);
+  EXPECT_EQ(blocks[0].count, capacity);
+  EXPECT_EQ(blocks[1].count, capacity);
+  EXPECT_EQ(blocks[2].count, 1u);
+  for (const BlockHeader& block : blocks) EXPECT_EQ(block.first_reuse, 0u);
   ExpectRoundTrip(list, capacity);
 }
 
-TEST(PostingBlocksTest, SkipHeadersRouteEveryLabelToItsBlock) {
+TEST(PostingBlocksTest, BlockMaxIsEachBlocksLastLabel) {
   Random rng(17);
-  PostingList list = RandomList(rng, 700, 10);
-  const size_t capacity = 16;
-  std::string record = EncodePostingsBlocked(list, capacity);
-  auto cursor_or = BlockedPostingCursor::Open(record);
-  ASSERT_TRUE(cursor_or.ok());
-  const auto& cursor = cursor_or.value();
+  FlatPostingList list = RandomList(rng, 700, 10);
+  const uint32_t capacity = 16;
+  uint32_t declared_capacity = 0;
+  std::vector<BlockHeader> blocks =
+      ReadBlockHeaders(EncodePostings(list, capacity), &declared_capacity);
+  EXPECT_EQ(declared_capacity, capacity);
+  size_t first = 0;
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    EXPECT_EQ(blocks[b].count, b + 1 < blocks.size()
+                                   ? capacity
+                                   : list.size() - first);
+    size_t last = first + blocks[b].count - 1;
+    ASSERT_LT(last, list.size());
+    EXPECT_EQ(xml::Dewey(blocks[b].max), list.DeweyAt(last)) << "block " << b;
+    EXPECT_EQ(blocks[b].first_reuse, 0u) << "block " << b;
+    first += blocks[b].count;
+  }
+  EXPECT_EQ(first, list.size());
+}
 
-  // Each block's max label is its last posting's label.
-  for (size_t b = 0; b < cursor.block_count(); ++b) {
-    size_t last = cursor.block_first_posting(b) + cursor.block_size(b) - 1;
-    EXPECT_EQ(cursor.block_max(b).ToDewey(), list[last].dewey);
+// --- the committed fuzz seeds pin the format ---------------------------------
+
+std::string ReadSeed(const std::string& name) {
+  std::ifstream in(std::string(XREFINE_FUZZ_CORPORA_DIR) +
+                       "/posting_decode/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << name;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// The posting-decode harness reads 8 probe bytes before the record.
+constexpr size_t kProbeBytes = 8;
+
+// Each valid seed decodes and re-encodes, at its own block capacity, to
+// exactly the committed bytes: the encoder and the on-disk layout cannot
+// drift without this test noticing.
+TEST(PostingFormatPinTest, CommittedSeedsReencodeByteForByte) {
+  for (const char* name :
+       {"v3_blocked_default", "v3_blocked_capacity4", "empty_list"}) {
+    std::string seed = ReadSeed(name);
+    ASSERT_GT(seed.size(), kProbeBytes) << name;
+    std::string record = seed.substr(kProbeBytes);
+    FlatPostingList list;
+    ASSERT_TRUE(DecodePostingsFlat(record, &list).ok()) << name;
+    uint32_t capacity = 0;
+    ReadBlockHeaders(record, &capacity);
+    EXPECT_EQ(EncodePostings(list, capacity), record) << name;
   }
-  // FindBlock lands every posting's own label in a block that contains an
-  // occurrence of it (duplicates may end a block, putting later copies in
-  // the next one — FindBlock returns the first block whose max >= v).
-  for (size_t i = 0; i < list.size(); ++i) {
-    xml::DeweyRef v(list[i].dewey);
-    size_t b = cursor.FindBlock(v);
-    ASSERT_LT(b, cursor.block_count());
-    FlatPostingList decoded;
-    ASSERT_TRUE(cursor.DecodeBlock(b, &decoded).ok());
-    bool found = false;
-    for (size_t j = 0; j < decoded.size(); ++j) {
-      if (decoded.label(j) == v) found = true;
-    }
-    EXPECT_TRUE(found) << "posting " << i << " not in block " << b;
-    // No earlier block can contain it: their maxes are < v.
-    if (b > 0) {
-      EXPECT_LT(cursor.block_max(b - 1), v);
-    }
+}
+
+// Records of the retired flat format (version 2), the two crashers, and a
+// cut-short record are all rejected.
+TEST(PostingFormatPinTest, RetiredAndCrasherSeedsAreRejected) {
+  for (const char* name : {"v2_flat", "crash-v2-trailing-bytes"}) {
+    std::string record = ReadSeed(name).substr(kProbeBytes);
+    FlatPostingList list;
+    Status st = DecodePostingsFlat(record, &list);
+    EXPECT_TRUE(st.IsCorruption()) << name << ": " << st;
+    EXPECT_NE(st.message().find("unsupported format version 2"),
+              std::string::npos)
+        << name << ": " << st;
+    uint32_t count = 0;
+    EXPECT_FALSE(DecodePostingCount(record, &count).ok()) << name;
   }
-  // A label past the end of the list routes past the last block.
-  xml::Dewey beyond({0xffffffff});
-  EXPECT_EQ(cursor.FindBlock(xml::DeweyRef(beyond)), cursor.block_count());
+  for (const char* name : {"crash-v3-unsorted-block-max", "v3_truncated"}) {
+    FlatPostingList list;
+    Status st = DecodePostingsFlat(ReadSeed(name).substr(kProbeBytes), &list);
+    EXPECT_TRUE(st.IsCorruption()) << name << ": " << st;
+  }
 }
 
 // --- corruption fuzzing ------------------------------------------------------
 
-// Declared posting count at the head of a record (both formats place it
-// immediately after the version byte).
+// Declared posting count at the head of a record (immediately after the
+// version byte).
 bool ReadDeclaredCount(const std::string& record, uint32_t* count) {
   if (record.empty()) return false;
   const char* p = record.data() + 1;
@@ -182,195 +250,214 @@ void ExpectFailsOrExactCount(const std::string& record) {
   EXPECT_EQ(flat.size(), declared);
 }
 
-std::string EncodeFor(const PostingList& list, PostingFormat format) {
-  return EncodePostings(list, format);
-}
-
 TEST(PostingBlocksFuzzTest, EveryTruncationFailsLoudly) {
   Random rng(27);
-  PostingList list = RandomList(rng, 300, 8);
-  for (PostingFormat format :
-       {PostingFormat::kPrefixDelta, PostingFormat::kBlocked}) {
-    std::string record = EncodeFor(list, format);
-    for (size_t len = 0; len < record.size(); ++len) {
-      std::string truncated = record.substr(0, len);
-      FlatPostingList flat;
-      Status st = DecodePostingsFlat(truncated, &flat);
-      // A strict prefix can never decode to the full declared count, so OK
-      // is unconditionally a silent-truncation bug here.
-      EXPECT_FALSE(st.ok()) << "format " << static_cast<int>(format)
-                            << " decoded a " << len << "-byte prefix of a "
-                            << record.size() << "-byte record";
-    }
+  std::string record = EncodePostings(RandomList(rng, 300, 8));
+  for (size_t len = 0; len < record.size(); ++len) {
+    std::string truncated = record.substr(0, len);
+    FlatPostingList flat;
+    Status st = DecodePostingsFlat(truncated, &flat);
+    // A strict prefix can never decode to the full declared count, so OK
+    // is unconditionally a silent-truncation bug here.
+    EXPECT_FALSE(st.ok()) << "decoded a " << len << "-byte prefix of a "
+                          << record.size() << "-byte record";
   }
 }
 
 TEST(PostingBlocksFuzzTest, TrailingBytesAreRejected) {
-  PostingList list = {P({0, 1}), P({0, 2})};
-  for (PostingFormat format :
-       {PostingFormat::kPrefixDelta, PostingFormat::kBlocked}) {
-    std::string record = EncodeFor(list, format) + std::string(1, '\0');
+  for (char trailing : {'\0', '\x05'}) {
+    std::string record = EncodePostings(L({{0, 1}, {0, 2}})) + trailing;
     FlatPostingList flat;
     EXPECT_FALSE(DecodePostingsFlat(record, &flat).ok());
   }
 }
 
-// Regression (found by fuzz_posting_decode, crash-v2-trailing-bytes): the
-// eager v2 decoder accepted bytes past the declared postings while the
-// flat decoder rejected them, so whether a damaged record "decoded" hinged
-// on which path happened to serve it. Both must reject.
-TEST(PostingBlocksFuzzTest, EagerDecoderRejectsTrailingBytesToo) {
-  PostingList list = {P({0, 1}), P({0, 2})};
-  for (PostingFormat format :
-       {PostingFormat::kPrefixDelta, PostingFormat::kBlocked}) {
-    std::string record = EncodeFor(list, format) + std::string(1, '\x05');
-    PostingList decoded;
-    EXPECT_FALSE(DecodePostings(record, &decoded).ok());
-  }
-  // The minimized crasher: version 2, zero postings, two stray bytes.
-  PostingList decoded;
-  EXPECT_FALSE(
-      DecodePostings(std::string("\x02\x00\x00\x05", 4), &decoded).ok());
-}
-
-// Regression (found by fuzz_posting_decode, crash-v3-unsorted-block-max):
-// FindBlock binary-searches the skip directory, so block maxes that go
-// backwards would silently mis-route probes and drop postings from query
-// results. Open must reject them as corruption.
-TEST(PostingBlocksFuzzTest, OutOfOrderBlockMaxesAreRejected) {
-  // Hand-built v3 record, all varints single-byte: two one-posting blocks
-  // whose max labels are (0,5) then (0,3) — descending document order.
-  auto block = [](uint32_t leaf) {
-    std::string b;
-    b.append("\x05\x01\x02", 3);                // payload=5, count=1, depth=2
-    b += '\x00';                                // max component 0
-    b += static_cast<char>(leaf);               // max component `leaf`
-    b.append("\x01\x00\x02", 3);                // type=1, reuse=0, fresh=2
-    b += '\x00';                                // component 0
-    b += static_cast<char>(leaf);               // component `leaf`
-    return b;
-  };
-  std::string header("\x03\x02\x01", 3);        // v3, total=2, capacity=1
-  std::string sorted = header + block(3) + block(5);
-  EXPECT_TRUE(BlockedPostingCursor::Open(sorted).ok());
-  std::string unsorted = header + block(5) + block(3);
-  EXPECT_FALSE(BlockedPostingCursor::Open(unsorted).ok());
-}
-
 TEST(PostingBlocksFuzzTest, SingleBitFlipsNeverDecodeShort) {
   Random rng(37);
-  PostingList list = RandomList(rng, 120, 8);
-  for (PostingFormat format :
-       {PostingFormat::kPrefixDelta, PostingFormat::kBlocked}) {
-    std::string record = EncodeFor(list, format);
-    for (size_t byte = 0; byte < record.size(); ++byte) {
-      for (int bit = 0; bit < 8; ++bit) {
-        std::string flipped = record;
-        flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
-        ExpectFailsOrExactCount(flipped);
-      }
+  std::string record = EncodePostings(RandomList(rng, 120, 8));
+  for (size_t byte = 0; byte < record.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = record;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      ExpectFailsOrExactCount(flipped);
     }
   }
 }
 
 TEST(PostingBlocksFuzzTest, RandomMultiByteCorruption) {
   Random rng(47);
-  PostingList list = RandomList(rng, 400, 10);
-  for (PostingFormat format :
-       {PostingFormat::kPrefixDelta, PostingFormat::kBlocked}) {
-    std::string record = EncodeFor(list, format);
-    for (int round = 0; round < 400; ++round) {
-      std::string mutated = record;
-      size_t edits = static_cast<size_t>(rng.Uniform(1, 8));
-      for (size_t e = 0; e < edits; ++e) {
-        size_t pos = static_cast<size_t>(
-            rng.Uniform(0, static_cast<int64_t>(mutated.size()) - 1));
-        mutated[pos] = static_cast<char>(rng.Uniform(0, 255));
-      }
-      if (rng.OneIn(0.3)) {
-        mutated.resize(static_cast<size_t>(
-            rng.Uniform(0, static_cast<int64_t>(mutated.size()))));
-      }
-      ExpectFailsOrExactCount(mutated);
+  std::string record = EncodePostings(RandomList(rng, 400, 10));
+  for (int round = 0; round < 400; ++round) {
+    std::string mutated = record;
+    size_t edits = static_cast<size_t>(rng.Uniform(1, 8));
+    for (size_t e = 0; e < edits; ++e) {
+      size_t pos = static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(mutated.size()) - 1));
+      mutated[pos] = static_cast<char>(rng.Uniform(0, 255));
     }
+    if (rng.OneIn(0.3)) {
+      mutated.resize(static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(mutated.size()))));
+    }
+    ExpectFailsOrExactCount(mutated);
   }
 }
 
-// Regression seeds: hand-built corruptions that target one validation each.
-// These pin the exact failure modes the fuzzers above found probabilistically.
+// --- regression records: one per decode check --------------------------------
+//
+// Hand-built records that each trip exactly one validation, named by the
+// message it reports. Every varint below is a single byte unless noted.
 
-TEST(PostingBlocksFuzzTest, RegressionZeroBlockCapacity) {
-  // version 3, total 0, capacity 0.
-  std::string record = {3, 0, 0};
-  FlatPostingList flat;
-  Status st = DecodePostingsFlat(record, &flat);
-  EXPECT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsCorruption());
+std::string Bytes(std::initializer_list<uint8_t> bytes) {
+  return std::string(bytes.begin(), bytes.end());
 }
 
-TEST(PostingBlocksFuzzTest, RegressionBlockCountsDisagreeWithTotal) {
-  std::string record = EncodePostingsBlocked({P({0, 1}), P({0, 2})}, 128);
+void ExpectRejectedBy(const std::string& record, const std::string& check) {
+  FlatPostingList flat;
+  Status st = DecodePostingsFlat(record, &flat);
+  ASSERT_FALSE(st.ok()) << check;
+  EXPECT_TRUE(st.IsCorruption()) << st;
+  EXPECT_NE(st.message().find(check), std::string::npos)
+      << "expected \"" << check << "\", got " << st;
+}
+
+// v3, total 1, capacity 4: the record head the block cases below share.
+const std::string kOnePostingHead = Bytes({3, 1, 4});
+
+TEST(PostingDecodeChecksTest, ValidHandBuiltRecordDecodes) {
+  // One block: payload 5, count 1, max (0,3); posting type 1, reuse 0,
+  // fresh 2, components 0 3. The cases below each break one field of it.
+  std::string record = kOnePostingHead + Bytes({5, 1, 2, 0, 3, 1, 0, 2, 0, 3});
+  FlatPostingList flat;
+  ASSERT_TRUE(DecodePostingsFlat(record, &flat).ok());
+  ASSERT_EQ(flat.size(), 1u);
+  EXPECT_EQ(flat.DeweyAt(0), xml::Dewey({0, 3}));
+  EXPECT_EQ(flat.type(0), 1u);
+}
+
+TEST(PostingDecodeChecksTest, EmptyRecord) {
+  ExpectRejectedBy("", "empty record");
+}
+
+TEST(PostingDecodeChecksTest, BadVersion) {
+  // The minimized v2 crasher: version 2, zero postings, two stray bytes.
+  ExpectRejectedBy(Bytes({2, 0, 0, 5}), "unsupported format version 2");
+  ExpectRejectedBy(Bytes({4, 0, 4}), "unsupported format version 4");
+}
+
+TEST(PostingDecodeChecksTest, BadRecordHeader) {
+  ExpectRejectedBy(Bytes({3}), "bad record header");
+  ExpectRejectedBy(Bytes({3, 1}), "bad record header");
+  ExpectRejectedBy(Bytes({3, 1, 0x80}), "bad record header");
+}
+
+TEST(PostingDecodeChecksTest, ZeroBlockCapacity) {
+  ExpectRejectedBy(Bytes({3, 0, 0}), "zero block capacity");
+}
+
+TEST(PostingDecodeChecksTest, HostileTotalCount) {
+  // Total 0xffffffff (five-byte varint) against a 10-byte remainder: it
+  // must be rejected before it sizes the reserve.
+  ExpectRejectedBy(Bytes({3, 0xff, 0xff, 0xff, 0xff, 0x0f, 4, 5, 1, 2, 0, 3, 1,
+                          0, 2, 0, 3}),
+                   "exceeds record capacity");
+}
+
+TEST(PostingDecodeChecksTest, TruncatedBlockHeader) {
+  // v3, total 0, capacity 4, then a block header cut after its count.
+  ExpectRejectedBy(Bytes({3, 0, 4, 5, 1}), "truncated block header");
+}
+
+TEST(PostingDecodeChecksTest, BlockCountZero) {
+  ExpectRejectedBy(kOnePostingHead + Bytes({5, 0, 2, 0, 3, 1, 0, 2, 0, 3}),
+                   "bad block count");
+}
+
+TEST(PostingDecodeChecksTest, BlockCountAboveCapacity) {
+  // Capacity 1, one block of two postings: (0,3) then (0,4) with reuse 1.
+  ExpectRejectedBy(
+      Bytes({3, 2, 1, 9, 2, 2, 0, 4, 1, 0, 2, 0, 3, 1, 1, 1, 4}),
+      "bad block count");
+}
+
+TEST(PostingDecodeChecksTest, MaxLabelDeeperThanRemainingBytes) {
+  ExpectRejectedBy(kOnePostingHead + Bytes({5, 1, 0x7f, 0, 3}),
+                   "block max depth exceeds record");
+}
+
+TEST(PostingDecodeChecksTest, TruncatedBlockMaxLabel) {
+  ExpectRejectedBy(kOnePostingHead + Bytes({5, 1, 2, 0x80, 0x80}),
+                   "truncated block max label");
+}
+
+TEST(PostingDecodeChecksTest, PayloadLongerThanRecord) {
+  // Capacity 127, then a block declaring 127 payload bytes — far past the
+  // record end.
+  ExpectRejectedBy(Bytes({3, 1, 0x7f, 0x7f, 1, 0}),
+                   "block payload exceeds record");
+}
+
+TEST(PostingDecodeChecksTest, CountAbovePayloadOverThree) {
+  // Two postings cannot fit in five payload bytes (each costs >= 3).
+  ExpectRejectedBy(Bytes({3, 2, 4, 5, 2, 2, 0, 3, 1, 0, 2, 0, 3}),
+                   "block count exceeds payload");
+}
+
+TEST(PostingDecodeChecksTest, BlockMaxesOutOfOrder) {
+  // Regression (found by fuzz_posting_decode, crash-v3-unsorted-block-max):
+  // block maxes that go backwards in document order. Two one-posting
+  // blocks, (0,5) then (0,3); the same blocks in order decode fine.
+  auto block = [](uint8_t leaf) {
+    return Bytes({5, 1, 2, 0, leaf, 1, 0, 2, 0, leaf});
+  };
+  const std::string head = Bytes({3, 2, 1});  // v3, total 2, capacity 1
+  FlatPostingList flat;
+  EXPECT_TRUE(DecodePostingsFlat(head + block(3) + block(5), &flat).ok());
+  ExpectRejectedBy(head + block(5) + block(3),
+                   "block max labels out of order");
+}
+
+TEST(PostingDecodeChecksTest, BlockCountsDisagreeWithTotal) {
+  std::string record = EncodePostings(L({{0, 1}, {0, 2}}), 128);
   // total is the varint at offset 1 (value 2, single byte): claim 3.
   ASSERT_EQ(record[1], 2);
   record[1] = 3;
-  FlatPostingList flat;
-  Status st = DecodePostingsFlat(record, &flat);
-  EXPECT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsCorruption());
+  ExpectRejectedBy(record, "block counts sum to 2, record declares 3");
 }
 
-TEST(PostingBlocksFuzzTest, RegressionBlockMaxLabelMismatch) {
-  // Corrupt the skip key so it disagrees with the block's decoded last
-  // label: the self-check must catch it (a wrong skip key would silently
-  // misroute probes).
-  PostingList list = {P({0, 1}), P({0, 2})};
-  std::string good = EncodePostingsBlocked(list, 128);
-  auto cursor_or = BlockedPostingCursor::Open(good);
-  ASSERT_TRUE(cursor_or.ok());
-  // Find the byte holding the max label's last component (value 2) in the
-  // block header and nudge it. Header layout after version/total/capacity:
-  // payload_bytes, count, max_depth, max components...
-  bool caught = false;
-  for (size_t i = 3; i < good.size(); ++i) {
-    if (good[i] != 2) continue;
-    std::string bad = good;
-    bad[i] = 3;
-    FlatPostingList flat;
-    Status st = DecodePostingsFlat(bad, &flat);
-    if (!st.ok()) caught = true;
-  }
-  EXPECT_TRUE(caught);
+TEST(PostingDecodeChecksTest, PayloadTrailingBytes) {
+  // The payload declares 6 bytes; its one posting uses 5.
+  ExpectRejectedBy(kOnePostingHead + Bytes({6, 1, 2, 0, 3, 1, 0, 2, 0, 3, 9}),
+                   "block payload has trailing bytes");
 }
 
-TEST(PostingBlocksFuzzTest, RegressionHostileReuseDepth) {
-  // A posting claiming to reuse more prefix components than its
-  // predecessor has must be rejected, not read out of bounds.
-  std::string record;
-  record.push_back(2);  // v2
-  record.push_back(1);  // count 1
-  record.push_back(0);  // type
-  record.push_back(9);  // reuse 9 components of a non-existent predecessor
-  record.push_back(0);  // fresh 0
-  FlatPostingList flat;
-  Status st = DecodePostingsFlat(record, &flat);
-  EXPECT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsCorruption());
+TEST(PostingDecodeChecksTest, LastLabelDiffersFromHeaderMax) {
+  // Header max (0,4), decoded last label (0,3).
+  ExpectRejectedBy(kOnePostingHead + Bytes({5, 1, 2, 0, 4, 1, 0, 2, 0, 3}),
+                   "block max label mismatch");
 }
 
-TEST(PostingBlocksFuzzTest, RegressionHostileBlockPayloadLength) {
-  // A block header declaring more payload bytes than the record holds.
-  std::string record;
-  record.push_back(3);     // v3
-  record.push_back(1);     // total 1
-  record.push_back(128);   // capacity 128... must be varint-encoded
-  record.back() = 0x7f;    // capacity 127 (single byte varint)
-  record.push_back(0x7f);  // payload_bytes 127 — far past the record end
-  record.push_back(1);     // count 1
-  record.push_back(0);     // max_depth 0
-  FlatPostingList flat;
-  Status st = DecodePostingsFlat(record, &flat);
-  EXPECT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsCorruption());
+TEST(PostingDecodeChecksTest, ReuseExceedsPreviousDepth) {
+  // A block's first posting claims to reuse 9 components of a predecessor
+  // it does not have: rejected, not read out of bounds.
+  ExpectRejectedBy(kOnePostingHead + Bytes({3, 1, 0, 0, 9, 0}),
+                   "reuse exceeds previous depth");
+}
+
+TEST(PostingDecodeChecksTest, TruncatedPosting) {
+  ExpectRejectedBy(kOnePostingHead + Bytes({3, 1, 0, 0, 0, 0x80}),
+                   "truncated header");
+  ExpectRejectedBy(kOnePostingHead + Bytes({4, 1, 0, 0, 0, 3, 0}),
+                   "truncated dewey");
+}
+
+TEST(PostingDecodeChecksTest, CountOnlyReadAcceptsVersionThreeOnly) {
+  uint32_t count = 0;
+  ASSERT_TRUE(DecodePostingCount(EncodePostings(L({{0}, {0, 1}})), &count).ok());
+  EXPECT_EQ(count, 2u);
+  EXPECT_FALSE(DecodePostingCount(Bytes({2, 0, 0, 5}), &count).ok());
+  EXPECT_FALSE(DecodePostingCount("", &count).ok());
+  EXPECT_FALSE(DecodePostingCount(Bytes({3, 0x80}), &count).ok());
 }
 
 }  // namespace

@@ -70,8 +70,9 @@ std::vector<std::string> BruteForceSlca(const xml::Document& doc,
 std::vector<std::string> RunAlgorithm(const testutil::Corpus& corpus,
                                       const std::vector<std::string>& q,
                                       SlcaAlgorithm algorithm) {
-  auto results = ComputeSlcaForQuery(q, corpus.index->index(),
-                                     corpus.index->types(), algorithm);
+  auto results =
+      ComputeSlcaForQuery(q, *corpus.index, corpus.index->types(), algorithm)
+          .value();
   auto strings = DeweyStrings(results);
   std::sort(strings.begin(), strings.end());
   return strings;
@@ -136,8 +137,9 @@ TEST(SlcaTest, TagAndValueMixedQuery) {
 TEST(SlcaTest, ResultTypesAreCorrect) {
   auto corpus = MakeFigure1Corpus();
   auto results =
-      ComputeSlcaForQuery({"xml", "2003"}, corpus.index->index(),
-                          corpus.index->types(), SlcaAlgorithm::kStack);
+      ComputeSlcaForQuery({"xml", "2003"}, *corpus.index,
+                          corpus.index->types(), SlcaAlgorithm::kStack)
+          .value();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(corpus.index->types().path(results[0].type),
             "bib/author/publications/inproceedings");
@@ -195,7 +197,7 @@ TEST_P(SlcaDifferentialTest, AllAlgorithmsMatchBruteForce) {
         std::vector<PostingSpan> lists;
         bool missing = false;
         for (const auto& k : q) {
-          const index::FlatPostingList* list = corpus->index().FindFlat(k);
+          const index::FlatPostingList* list = corpus->index().Find(k);
           if (list == nullptr) {
             missing = true;
             break;

@@ -14,6 +14,7 @@
 #include "common/metrics.h"
 #include "core/xrefine.h"
 #include "index/index_store.h"
+#include "index/posting_blocks.h"
 #include "index/store_index_source.h"
 #include "slca/slca.h"
 #include "storage/kvstore.h"
@@ -71,9 +72,9 @@ TEST(StoreSourceTest, FetchListMatchesInMemoryAndCaches) {
   ASSERT_TRUE(handle_or.ok());
   PostingListHandle handle = std::move(handle_or).value();
   ASSERT_TRUE(handle);
-  const PostingList* expected = corpus.index->index().Find("xml");
+  const FlatPostingList* expected = corpus.index->index().Find("xml");
   ASSERT_NE(expected, nullptr);
-  EXPECT_EQ(handle->ToPostings(), *expected);
+  EXPECT_EQ(*handle, *expected);
   EXPECT_EQ(source.cached_lists(), 1u);
   EXPECT_EQ(misses.value(), misses_before + 1);
 
@@ -107,8 +108,8 @@ TEST(StoreSourceTest, CacheEvictsUnderBudgetButPinsSurvive) {
   ASSERT_TRUE(source.FetchList("skyline").ok());
   EXPECT_EQ(source.cached_lists(), 1u);
   // The pinned list stays valid after its eviction.
-  const PostingList* expected = corpus.index->index().Find("xml");
-  EXPECT_EQ(pin->ToPostings(), *expected);
+  const FlatPostingList* expected = corpus.index->index().Find("xml");
+  EXPECT_EQ(*pin, *expected);
 }
 
 // End-to-end equivalence: the engine must refine identically whether it
@@ -146,14 +147,15 @@ TEST(StoreSourceTest, SlcaOverStoreMatchesInMemory) {
   ASSERT_TRUE(source_or.ok());
 
   std::vector<std::string> q = {"xml", "database"};
-  auto in_memory = slca::ComputeSlcaForQuery(
-      q, corpus.index->index(), corpus.index->types(),
+  auto in_memory_or = slca::ComputeSlcaForQuery(
+      q, *corpus.index, corpus.index->types(),
       slca::SlcaAlgorithm::kScanEager);
   auto from_store_or = slca::ComputeSlcaForQuery(
       q, *source_or.value(), source_or.value()->types(),
       slca::SlcaAlgorithm::kScanEager);
+  ASSERT_TRUE(in_memory_or.ok());
   ASSERT_TRUE(from_store_or.ok());
-  EXPECT_EQ(testutil::DeweyStrings(in_memory),
+  EXPECT_EQ(testutil::DeweyStrings(in_memory_or.value()),
             testutil::DeweyStrings(from_store_or.value()));
 }
 
@@ -202,26 +204,50 @@ TEST(StoreSourceTest, ReadFailureDuringFetchSurfacesAsStatus) {
 
 TEST(StoreSourceTest, DecodeRejectsHostilePostingCount) {
   auto corpus = MakeFigure1Corpus();
-  const PostingList* list = corpus.index->index().Find("xml");
+  const FlatPostingList* list = corpus.index->index().Find("xml");
   ASSERT_NE(list, nullptr);
-  for (PostingFormat format :
-       {PostingFormat::kPrefixDelta, PostingFormat::kBlocked}) {
-    std::string record = EncodePostings(*list, format);
+  std::string record = EncodePostings(*list);
 
-    // Splice a huge count varint after the version byte: decode must reject
-    // it against the remaining bytes instead of reserving gigabytes.
-    std::string hostile;
-    hostile.push_back(record[0]);
-    for (uint32_t v = 0xffffffff; v >= 0x80; v >>= 7) {
-      hostile.push_back(static_cast<char>(0x80 | (v & 0x7f)));
-    }
-    hostile.push_back(0x0f);
-    hostile += record.substr(1);
-    PostingList decoded;
-    auto st = DecodePostings(hostile, &decoded);
-    EXPECT_FALSE(st.ok());
-    EXPECT_TRUE(st.IsCorruption()) << st;
+  // Splice a huge count varint after the version byte: decode must reject
+  // it against the remaining bytes instead of reserving gigabytes.
+  std::string hostile;
+  hostile.push_back(record[0]);
+  for (uint32_t v = 0xffffffff; v >= 0x80; v >>= 7) {
+    hostile.push_back(static_cast<char>(0x80 | (v & 0x7f)));
   }
+  hostile.push_back(0x0f);
+  hostile += record.substr(1);
+  FlatPostingList decoded;
+  auto st = DecodePostingsFlat(hostile, &decoded);
+  EXPECT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsCorruption()) << st;
+}
+
+// Every decode is counted where the one decoder runs: a store-backed miss
+// moves index.list_fetches by one and index.bytes_decoded by the record's
+// size, and a cache hit moves neither.
+TEST(StoreSourceTest, DecodeCountersTrackMissesNotHits) {
+  auto corpus = MakeFigure1Corpus();
+  auto store = SavedStore(*corpus.index);
+  auto source_or = StoreBackedIndexSource::Open(store.get());
+  ASSERT_TRUE(source_or.ok());
+  auto& source = *source_or.value();
+  auto record_or = store->Get(InvertedListKey("xml"));
+  ASSERT_TRUE(record_or.ok());
+  const uint64_t record_bytes = record_or.value().size();
+
+  auto& fetches = *metrics::Registry::Global().counter("index.list_fetches");
+  auto& bytes = *metrics::Registry::Global().counter("index.bytes_decoded");
+  const uint64_t fetches_before = fetches.value();
+  const uint64_t bytes_before = bytes.value();
+
+  ASSERT_TRUE(source.FetchList("xml").ok());  // miss: decoded once
+  EXPECT_EQ(fetches.value(), fetches_before + 1);
+  EXPECT_EQ(bytes.value(), bytes_before + record_bytes);
+
+  ASSERT_TRUE(source.FetchList("xml").ok());  // hit: no decode
+  EXPECT_EQ(fetches.value(), fetches_before + 1);
+  EXPECT_EQ(bytes.value(), bytes_before + record_bytes);
 }
 
 // --- satellite 3: re-save clears stale keys ---------------------------------
@@ -295,9 +321,8 @@ TEST(StoreSourceTest, ConcurrentFetchesAreCoherent) {
           continue;
         }
         PostingListHandle handle = std::move(handle_or).value();
-        const PostingList* expected = corpus.index->index().Find(kw);
-        if (!handle || expected == nullptr ||
-            handle->ToPostings() != *expected) {
+        const FlatPostingList* expected = corpus.index->index().Find(kw);
+        if (!handle || expected == nullptr || *handle != *expected) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -361,8 +386,7 @@ TEST(StoreSourceTest, AdmissionKeepsHotSetThroughColdScan) {
       ASSERT_TRUE(handle_or.ok());
       // Rejected or not, the caller is always served the real list.
       ASSERT_TRUE(handle_or.value());
-      EXPECT_EQ(handle_or.value()->ToPostings(),
-                *corpus.index->index().Find(word));
+      EXPECT_EQ(*handle_or.value(), *corpus.index->index().Find(word));
     }
   };
 
@@ -426,13 +450,9 @@ TEST(StoreSourceTest, RepeatedRequestsEventuallyAdmitOverColderVictims) {
   EXPECT_TRUE(source.IsCachedForTesting("w003"));
 }
 
-// W-TinyLFU: the recency window fixes plain TinyLFU's burst blindness. A
-// first-touch key always loses the sketch duel against a warmed hot set
-// (frequency 1 vs 5), so a recency spike — new keys that will be re-read
-// within moments — thrashes against the sketch. With a window, new lists
-// enter a windowed-LRU stage without a duel and only pay the sketch on the
-// way OUT of the window, so the spike is resident for its re-reads.
-TEST(StoreSourceTest, RecencyWindowAdmitsFirstTouchBursts) {
+// A first-touch key loses the sketch duel against a warmed hot set
+// (frequency 1 vs 5): it is served, but not cached.
+TEST(StoreSourceTest, FirstTouchKeyIsServedButNotCachedUnderWarmHotSet) {
   auto corpus = MakeCorpus(UniformCorpusXml(40));
   auto store = SavedStore(*corpus.index);
   size_t list_bytes = MeasureListBytes(store.get());
@@ -441,51 +461,20 @@ TEST(StoreSourceTest, RecencyWindowAdmitsFirstTouchBursts) {
   const std::vector<std::string> hot = {"w000", "w001", "w002", "w003"};
   StoreIndexSourceOptions options;
   options.cache_capacity_bytes = hot.size() * list_bytes;
-
-  auto warm = [&](StoreBackedIndexSource& source) {
-    for (int round = 0; round < 5; ++round) {
-      for (const std::string& kw : hot) {
-        ASSERT_TRUE(source.FetchList(kw).ok());
-      }
-    }
-  };
-
-  {
-    // Baseline (window off): the burst key is served but not retained.
-    auto source_or = StoreBackedIndexSource::Open(store.get(), options);
-    ASSERT_TRUE(source_or.ok());
-    auto& source = *source_or.value();
-    EXPECT_EQ(source.window_lists(), 0u);
-    warm(source);
-    ASSERT_TRUE(source.FetchList("w010").ok());
-    EXPECT_FALSE(source.IsCachedForTesting("w010"));
+  auto source_or = StoreBackedIndexSource::Open(store.get(), options);
+  ASSERT_TRUE(source_or.ok());
+  auto& source = *source_or.value();
+  for (int round = 0; round < 5; ++round) {
+    for (const std::string& kw : hot) ASSERT_TRUE(source.FetchList(kw).ok());
   }
 
-  {
-    // Same trace with a one-list recency window: the burst key is resident
-    // from its first touch, and its second touch is a cache hit.
-    options.window_fraction = 0.25;
-    auto source_or = StoreBackedIndexSource::Open(store.get(), options);
-    ASSERT_TRUE(source_or.ok());
-    auto& source = *source_or.value();
-    warm(source);
-    for (const std::string& kw : hot) {
-      EXPECT_TRUE(source.IsCachedForTesting(kw)) << kw;
-    }
-
-    auto& fetches = *metrics::Registry::Global().counter("index.list_fetches");
-    ASSERT_TRUE(source.FetchList("w010").ok());
-    EXPECT_TRUE(source.IsCachedForTesting("w010"));
-    EXPECT_GE(source.window_lists(), 1u);
-    uint64_t fetches_after_first = fetches.value();
-    auto handle_or = source.FetchList("w010");
-    ASSERT_TRUE(handle_or.ok());
-    EXPECT_EQ(handle_or.value()->ToPostings(),
-              *corpus.index->index().Find("w010"));
-    // Served from the window, not re-decoded from the store.
-    EXPECT_EQ(fetches.value(), fetches_after_first);
-    // The byte budget still holds: window + main together never exceed it.
-    EXPECT_LE(source.cached_bytes(), options.cache_capacity_bytes);
+  auto handle_or = source.FetchList("w010");
+  ASSERT_TRUE(handle_or.ok());
+  ASSERT_TRUE(handle_or.value());
+  EXPECT_EQ(*handle_or.value(), *corpus.index->index().Find("w010"));
+  EXPECT_FALSE(source.IsCachedForTesting("w010"));
+  for (const std::string& kw : hot) {
+    EXPECT_TRUE(source.IsCachedForTesting(kw)) << kw;
   }
 }
 
@@ -510,9 +499,7 @@ TEST(StoreSourceTest, LazyVocabularyMatchesEagerAnswers) {
     auto handle_or = source.FetchList(kw);
     ASSERT_TRUE(handle_or.ok()) << kw;
     ASSERT_TRUE(handle_or.value()) << kw;
-    EXPECT_EQ(handle_or.value()->ToPostings(),
-              *corpus.index->index().Find(kw))
-        << kw;
+    EXPECT_EQ(*handle_or.value(), *corpus.index->index().Find(kw)) << kw;
   }
 
   // Absent keywords answer absent (possibly via a false-positive descent).

@@ -1,27 +1,26 @@
-// Fuzz surface: stored posting records — the v2 flat prefix-delta decoder,
-// the v3 blocked decoder, the cheap count-only header read, and the lazy
-// BlockedPostingCursor (Open → FindBlock probes → DecodeBlock → DecodeAll)
-// with probe sequences drawn from the input. Invariants checked:
-//  * no decoder reads outside the record or loops forever;
-//  * the PR-6 discipline — every decode is non-OK or yields exactly the
-//    declared posting count; the three decoders agree on that count;
-//  * cursor block sizes sum to posting_count(), and block-by-block decode
-//    matches DecodeAll.
+// Fuzz surface: stored posting records — the one decoder
+// (DecodePostingsFlat) and the cheap count-only header read. Invariants
+// checked:
+//  * the decoder never reads outside the record or loops forever;
+//  * every decode is non-OK or yields exactly the declared posting count:
+//    an OK DecodePostingsFlat implies an OK DecodePostingCount, and the
+//    decode yields exactly the count that read declares.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 #include "index/flat_postings.h"
-#include "index/index_store.h"
-#include "index/posting.h"
 #include "index/posting_blocks.h"
 #include "tools/fuzz/fuzz_driver.h"
-#include "xml/dewey.h"
 
 namespace {
 
 using xrefine::fuzz::ByteReader;
+
+// Every committed seed starts with this many reserved bytes; the record
+// follows them.
+constexpr size_t kReservedPrefixBytes = 8;
 
 void Require(bool cond, const char* what) {
   if (!cond) {
@@ -34,85 +33,16 @@ void Require(bool cond, const char* what) {
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   ByteReader in(data, size);
-  // A handful of probe choices off the front; the rest is the record.
-  uint32_t probe_a = in.U32();
-  uint32_t probe_b = in.U32();
+  in.Bytes(kReservedPrefixBytes);
   std::string_view record = in.Rest();
 
-  // Eager decoders, both layouts' entry points.
-  xrefine::index::PostingList list;
-  bool eager_ok = xrefine::index::DecodePostings(record, &list).ok();
-
   xrefine::index::FlatPostingList flat;
-  bool flat_ok = xrefine::index::DecodePostingsFlat(record, &flat).ok();
-  Require(eager_ok == flat_ok, "eager and flat decoders disagree on validity");
-  if (eager_ok) {
-    Require(list.size() == flat.size(),
-            "eager and flat decoders disagree on posting count");
-  }
+  if (!xrefine::index::DecodePostingsFlat(record, &flat).ok()) return 0;
 
   uint32_t declared = 0;
-  bool count_ok = xrefine::index::DecodePostingCount(record, &declared).ok();
-  if (eager_ok) {
-    Require(count_ok, "full decode succeeded but count-only read failed");
-    Require(declared == list.size(),
-            "decoded posting count differs from declared count");
-  }
-
-  // Lazy path (v3 records only; v2 records must be rejected by Open).
-  auto cursor_or = xrefine::index::BlockedPostingCursor::Open(record);
-  if (!cursor_or.ok()) return 0;
-  const auto& cursor = cursor_or.value();
-
-  size_t total = 0;
-  for (size_t b = 0; b < cursor.block_count(); ++b) {
-    Require(cursor.block_first_posting(b) == total,
-            "block first-posting index out of step");
-    total += cursor.block_size(b);
-  }
-  Require(total == cursor.posting_count(),
-          "block sizes do not sum to the record's posting count");
-
-  // Probe labels derived from the input: FindBlock must stay in range and
-  // agree with a linear scan of the block-max directory.
-  uint32_t comps[4] = {probe_a, probe_b, probe_a ^ probe_b, probe_b >> 3};
-  for (uint32_t len = 0; len <= 4; ++len) {
-    xrefine::xml::DeweyRef probe(comps, len);
-    size_t found = cursor.FindBlock(probe);
-    Require(found <= cursor.block_count(), "FindBlock out of range");
-    for (size_t b = 0; b < cursor.block_count(); ++b) {
-      bool contains = !(cursor.block_max(b) < probe);
-      Require(contains == (b >= found),
-              "FindBlock disagrees with the block-max directory");
-    }
-  }
-
-  // Block-at-a-time decode must reproduce DecodeAll exactly — and if the
-  // eager decoders rejected the record, some block must fail too.
-  xrefine::index::FlatPostingList by_block;
-  bool all_blocks_ok = true;
-  for (size_t b = 0; b < cursor.block_count(); ++b) {
-    if (!cursor.DecodeBlock(b, &by_block).ok()) {
-      all_blocks_ok = false;
-      break;
-    }
-  }
-  xrefine::index::FlatPostingList all;
-  bool decode_all_ok = cursor.DecodeAll(&all).ok();
-  Require(all_blocks_ok == decode_all_ok,
-          "DecodeBlock loop and DecodeAll disagree on validity");
-  Require(decode_all_ok == eager_ok,
-          "cursor and eager decoders disagree on payload validity");
-  if (decode_all_ok) {
-    Require(all.size() == cursor.posting_count(),
-            "DecodeAll did not yield the declared posting count");
-    Require(by_block.size() == all.size(),
-            "block-at-a-time decode yields a different count than DecodeAll");
-    for (size_t i = 0; i < all.size(); ++i) {
-      Require(by_block.label(i) == all.label(i) &&
-                  by_block.type(i) == all.type(i),
-              "block-at-a-time decode diverges from DecodeAll");
-    }
-  }
+  Require(xrefine::index::DecodePostingCount(record, &declared).ok(),
+          "full decode succeeded but count-only read failed");
+  Require(declared == flat.size(),
+          "decoded posting count differs from declared count");
   return 0;
 }

@@ -15,8 +15,8 @@
 #include <string_view>
 #include <vector>
 
+#include "index/flat_postings.h"
 #include "index/index_store.h"
-#include "index/posting.h"
 #include "index/posting_blocks.h"
 #include "server/frame.h"
 #include "storage/kvstore.h"
@@ -41,21 +41,21 @@ bool WriteSeed(const fs::path& dir, const std::string& name,
   return true;
 }
 
-// The posting-decode harness consumes 8 probe bytes before the record.
+// The posting-decode harness skips 8 reserved bytes before the record.
 std::string WithProbePrefix(std::string_view record) {
   std::string out("\x00\x00\x00\x02\x00\x00\x00\x05", 8);
   out.append(record);
   return out;
 }
 
-xrefine::index::PostingList SamplePostings() {
+xrefine::index::FlatPostingList SamplePostings() {
   using xrefine::xml::Dewey;
-  xrefine::index::PostingList list;
+  xrefine::index::FlatPostingList list;
   // Shape mirrors Figure 1's inverted lists: clustered siblings under two
   // authors plus a deep straggler, enough to exercise prefix reuse.
   for (uint32_t leaf = 0; leaf < 160; ++leaf) {
-    list.push_back({Dewey({0, leaf / 40, 1, leaf % 40, leaf % 3}),
-                    static_cast<xrefine::xml::TypeId>(leaf % 7)});
+    list.Append(Dewey({0, leaf / 40, 1, leaf % 40, leaf % 3}),
+                static_cast<xrefine::xml::TypeId>(leaf % 7));
   }
   return list;
 }
@@ -85,24 +85,19 @@ int main(int argc, char** argv) {
   const fs::path root = argc > 1 ? argv[1] : "tests/fuzz_corpora";
   bool ok = true;
 
-  // --- posting_decode: both stored formats plus edge shapes -------------
+  // --- posting_decode: the stored format plus edge shapes ---------------
+  // (v2_flat, a record of the retired version-2 layout, is kept by hand as
+  // an input that must be rejected; it is no longer generated.)
   {
     const fs::path dir = root / "posting_decode";
-    const xrefine::index::PostingList list = SamplePostings();
+    const xrefine::index::FlatPostingList list = SamplePostings();
     ok &= WriteSeed(dir, "v3_blocked_default",
-                    WithProbePrefix(xrefine::index::EncodePostings(
-                        list, xrefine::index::PostingFormat::kBlocked)));
+                    WithProbePrefix(xrefine::index::EncodePostings(list)));
     ok &= WriteSeed(dir, "v3_blocked_capacity4",
-                    WithProbePrefix(
-                        xrefine::index::EncodePostingsBlocked(list, 4)));
-    ok &= WriteSeed(dir, "v2_flat",
-                    WithProbePrefix(xrefine::index::EncodePostings(
-                        list, xrefine::index::PostingFormat::kPrefixDelta)));
+                    WithProbePrefix(xrefine::index::EncodePostings(list, 4)));
     ok &= WriteSeed(dir, "empty_list",
-                    WithProbePrefix(xrefine::index::EncodePostings(
-                        {}, xrefine::index::PostingFormat::kBlocked)));
-    std::string truncated = xrefine::index::EncodePostings(
-        list, xrefine::index::PostingFormat::kBlocked);
+                    WithProbePrefix(xrefine::index::EncodePostings({})));
+    std::string truncated = xrefine::index::EncodePostings(list);
     truncated.resize(truncated.size() / 2);
     ok &= WriteSeed(dir, "v3_truncated", WithProbePrefix(truncated));
   }
