@@ -26,12 +26,14 @@
 //
 // Commands at the prompt:
 //   :algo stack|partition|sle     switch refinement algorithm
-//   :topk N                       result count
+//   :topk N                       result count (a positive integer)
 //   :rank on|off                  TF*IDF-order each RQ's results
 //   :accept N                     record rank-N refinement as accepted
 //   :expand <query>               suggest narrowing terms for a broad query
 //   :stats                        print the metrics registry now
 //   :quit                         exit
+#include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -280,7 +282,18 @@ int main(int argc, char** argv) {
     if (line.empty()) continue;
     if (line == ":quit" || line == ":q") break;
     if (line.rfind(":topk ", 0) == 0) {
-      options.top_k = static_cast<size_t>(std::atoi(line.c_str() + 6));
+      // A positive integer only: atoi would turn "foo" into 0.
+      const std::string arg = line.substr(6);
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long k = std::strtoul(arg.c_str(), &end, 10);
+      if (arg.empty() || arg[0] < '1' || arg[0] > '9' || *end != '\0' ||
+          errno != 0) {
+        std::cout << ":topk takes a positive integer; top_k stays "
+                  << options.top_k << "\n";
+        continue;
+      }
+      options.top_k = static_cast<size_t>(k);
       std::cout << "top_k = " << options.top_k << "\n";
       engine = make_engine();
       continue;

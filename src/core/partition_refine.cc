@@ -1,38 +1,50 @@
 #include "core/partition_refine.h"
 
 #include <algorithm>
-#include <limits>
-#include <map>
-#include <set>
+#include <unordered_map>
 
+#include "common/logging.h"
 #include "core/rq_sorted_list.h"
 
 namespace xrefine::core {
 
 namespace {
 
-// First index in [from, list.size) whose dewey is >= bound.
-size_t LowerBoundFrom(const slca::PostingSpan& list, size_t from,
-                      const xml::DeweyRef& bound) {
-  size_t lo = from;
-  size_t hi = list.size;
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (list.label(mid) < bound) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
+// One getTopOptimalRQ candidate of a memoised witnessed set, with its
+// keyword-id forms computed once: `key` for the RQ list, and `ids` in
+// rq.keywords order, so each SLCA call sees its spans in the RQ's own
+// keyword order.
+struct Candidate {
+  RefinedQuery rq;
+  KeywordBits key;
+  std::vector<size_t> ids;
+};
 
-// The exclusive upper bound label of the partition containing `v`: the
-// partition prefix with its last component incremented.
-xml::Dewey PartitionUpperBound(const xml::Dewey& prefix) {
-  std::vector<uint32_t> c = prefix.components();
-  c.back() += 1;
-  return xml::Dewey(std::move(c));
+// The top-`budget` candidate refinements for a partition witnessing
+// `witnessed` (line 10). Runs on a memo miss only, so the string keyword
+// set the DP takes is built once per distinct witnessed set.
+std::vector<Candidate> TopCandidates(const RefineInput& input,
+                                     const KeywordBits& witnessed,
+                                     size_t budget) {
+  const size_t m = input.keywords.size();
+  KeywordSet t;
+  for (size_t i = 0; i < m; ++i) {
+    if (witnessed.Test(i)) t.insert(input.keywords[i]);
+  }
+  std::vector<Candidate> out;
+  for (RefinedQuery& rq : GetTopOptimalRqs(input.q, t, input.rules, budget)) {
+    Candidate c{std::move(rq), KeywordBits(m), {}};
+    c.ids.reserve(c.rq.keywords.size());
+    for (const std::string& k : c.rq.keywords) {
+      // RQ ⊆ T (Lemma 2), and T ⊆ keywords, so every keyword has an id.
+      auto it = input.keyword_index.find(k);
+      XR_DCHECK(it != input.keyword_index.end());
+      c.key.Set(it->second);
+      c.ids.push_back(it->second);
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
 }
 
 }  // namespace
@@ -47,9 +59,13 @@ RefineOutcome PartitionRefine(const index::IndexSource& corpus,
 
   // Advantage (3) of the paper: partitions witnessing the same keyword set
   // share one getTopOptimalRQ evaluation.
-  std::map<std::set<std::string>, std::vector<RefinedQuery>> dp_cache;
+  std::unordered_map<KeywordBits, std::vector<Candidate>, KeywordBits::Hash>
+      dp_memo;
 
   std::vector<size_t> cursors(m, 0);
+  std::vector<slca::PostingSpan> partition_spans(m);
+  std::vector<slca::PostingSpan> rq_spans;
+  KeywordBits witnessed(m);
   while (true) {
     // Deadline/cancel poll at partition granularity: one clock read per
     // partition, never mid-SLCA.
@@ -70,72 +86,57 @@ RefineOutcome PartitionRefine(const index::IndexSource& corpus,
         cursors[static_cast<size_t>(smallest)]);
 
     // Document partition of v (Definition 6.1): the subtree under the
-    // root's child, i.e. the depth-2 prefix (the root label itself when v
-    // is the root).
-    xml::Dewey prefix = v.Prefix(std::min<size_t>(2, v.depth()));
-    xml::Dewey upper = PartitionUpperBound(prefix);
+    // root's child, i.e. v's depth-2 prefix (v itself when shallower),
+    // viewed in place.
+    const xml::DeweyRef partition(v.comps, std::min<uint32_t>(2, v.len));
     ++stats.partitions_visited;
 
     // Restrict every list to this partition and advance the cursors past
-    // it (lines 7-8; the one-time scan).
-    std::vector<slca::PostingSpan> partition_spans(m);
-    KeywordSet witnessed;
+    // it (lines 7-8; the one-time scan). Every head is >= v >= the
+    // partition root, so each list's run in the partition starts at its
+    // cursor and only its end is searched for.
+    witnessed.Clear();
     for (size_t i = 0; i < m; ++i) {
-      size_t begin = cursors[i];
-      // Skip any postings before the partition (possible when this list
-      // had nothing in earlier partitions).
-      begin = LowerBoundFrom(input.lists[i], begin, xml::DeweyRef(prefix));
-      size_t end = LowerBoundFrom(input.lists[i], begin, xml::DeweyRef(upper));
+      const size_t begin = cursors[i];
+      const size_t end =
+          slca::GallopSubtreeEnd(input.lists[i], begin, partition);
       partition_spans[i] = input.lists[i].Sub(begin, end - begin);
       cursors[i] = end;
-      if (!partition_spans[i].empty()) witnessed.insert(input.keywords[i]);
+      if (end > begin) witnessed.Set(i);
     }
-    if (witnessed.empty()) continue;
 
     // Top-2K candidate refinements for this partition (line 10), computed
     // once per distinct witnessed keyword set.
-    std::set<std::string> cache_key(witnessed.begin(), witnessed.end());
-    auto cached = dp_cache.find(cache_key);
-    if (cached == dp_cache.end()) {
+    auto memo = dp_memo.find(witnessed);
+    if (memo == dp_memo.end()) {
       ++stats.dp_calls;
-      cached = dp_cache
-                   .emplace(std::move(cache_key),
-                            GetTopOptimalRqs(input.q, witnessed, input.rules,
-                                             candidate_budget))
-                   .first;
+      memo = dp_memo
+                 .emplace(witnessed,
+                          TopCandidates(input, witnessed, candidate_budget))
+                 .first;
     }
-    const std::vector<RefinedQuery>& candidates = cached->second;
 
-    for (const RefinedQuery& rq : candidates) {
+    for (const Candidate& c : memo->second) {
       ++stats.candidates_enumerated;
-      bool known = rq_list.Contains(rq.keywords);
-      if (options.prune_partitions && !known &&
-          !rq_list.CanAccept(rq.dissimilarity)) {
+      if (options.prune_partitions && !rq_list.Contains(c.key) &&
+          !rq_list.CanAccept(c.rq.dissimilarity)) {
         ++stats.partitions_pruned;
         ++stats.candidates_pruned;
         continue;  // cannot enter the top-2K: skip its SLCA work
       }
       // SLCA of RQ within this partition (line 16), with any baseline.
-      std::vector<slca::PostingSpan> rq_spans;
-      rq_spans.reserve(rq.keywords.size());
-      bool all_present = true;
-      for (const std::string& k : rq.keywords) {
-        auto it = input.keyword_index.find(k);
-        if (it == input.keyword_index.end()) {
-          all_present = false;
-          break;
-        }
-        rq_spans.push_back(partition_spans[it->second]);
-      }
-      if (!all_present) continue;
+      rq_spans.clear();
+      for (size_t id : c.ids) rq_spans.push_back(partition_spans[id]);
       ++stats.slca_calls;
       std::vector<slca::SlcaResult> results = slca::ComputeSlca(
           rq_spans, corpus.types(), options.slca_algorithm);
       results = slca::FilterMeaningful(std::move(results), input.search_for,
                                        corpus.types());
       if (results.empty()) continue;  // no meaningful match here
-      if (rq_list.InsertOrFind(rq) != nullptr) {
-        rq_list.AppendResults(rq.keywords, results);
+      if (RqSortedList::Entry* entry = rq_list.InsertOrFind(c.rq, c.key)) {
+        entry->results.insert(entry->results.end(),
+                              std::make_move_iterator(results.begin()),
+                              std::make_move_iterator(results.end()));
       }
     }
   }

@@ -7,6 +7,7 @@ namespace xrefine::core {
 
 double RqSortedList::AdmissionThreshold() const {
   if (!full()) return std::numeric_limits<double>::infinity();
+  if (entries_.empty()) return -std::numeric_limits<double>::infinity();
   return entries_.back().rq.dissimilarity;
 }
 
@@ -14,23 +15,15 @@ bool RqSortedList::CanAccept(double dissimilarity) const {
   return dissimilarity <= AdmissionThreshold();
 }
 
-size_t RqSortedList::IndexOf(const std::string& key) const {
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (QueryKey(entries_[i].rq.keywords) == key) return i;
-  }
-  return entries_.size();
+bool RqSortedList::Contains(const KeywordBits& key) const {
+  return std::any_of(entries_.begin(), entries_.end(),
+                     [&](const Entry& e) { return e.key == key; });
 }
 
-bool RqSortedList::Contains(const Query& keywords) const {
-  return member_.count(QueryKey(keywords)) > 0;
-}
-
-RqSortedList::Entry* RqSortedList::InsertOrFind(const RefinedQuery& rq) {
-  std::string key = QueryKey(rq.keywords);
-  if (member_.count(key) > 0) {
-    size_t i = IndexOf(key);
-    if (i < entries_.size()) return &entries_[i];
-    return nullptr;
+RqSortedList::Entry* RqSortedList::InsertOrFind(const RefinedQuery& rq,
+                                                const KeywordBits& key) {
+  for (Entry& e : entries_) {
+    if (e.key == key) return &e;
   }
   if (!CanAccept(rq.dissimilarity)) return nullptr;
   // Insert sorted by dissimilarity.
@@ -38,23 +31,12 @@ RqSortedList::Entry* RqSortedList::InsertOrFind(const RefinedQuery& rq) {
       entries_.begin(), entries_.end(), rq.dissimilarity,
       [](double d, const Entry& e) { return d < e.rq.dissimilarity; });
   size_t index = static_cast<size_t>(pos - entries_.begin());
-  entries_.insert(pos, Entry{rq, {}});
-  member_.emplace(std::move(key), true);
+  entries_.insert(pos, Entry{rq, key, {}});
   if (entries_.size() > capacity_) {
-    member_.erase(QueryKey(entries_.back().rq.keywords));
     entries_.pop_back();
     if (index >= entries_.size()) return nullptr;  // evicted immediately
   }
   return &entries_[index];
-}
-
-void RqSortedList::AppendResults(const Query& keywords,
-                                 const std::vector<slca::SlcaResult>& results) {
-  std::string key = QueryKey(keywords);
-  size_t i = IndexOf(key);
-  if (i >= entries_.size()) return;
-  auto& dst = entries_[i].results;
-  dst.insert(dst.end(), results.begin(), results.end());
 }
 
 }  // namespace xrefine::core

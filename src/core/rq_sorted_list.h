@@ -1,22 +1,50 @@
 // RQSortedList (Section VI-B): the bounded candidate list the Partition and
 // SLE algorithms maintain while scanning — up to `capacity` refined queries
-// ordered by dissimilarity, with O(1) membership via a hash on the keyword
-// set and accumulation of per-partition SLCA results.
+// ordered by dissimilarity, keyed by their keyword sets as keyword-id
+// bitsets, each accumulating its per-partition SLCA results.
 #ifndef XREFINE_CORE_RQ_SORTED_LIST_H_
 #define XREFINE_CORE_RQ_SORTED_LIST_H_
 
-#include <string>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "core/refined_query.h"
 
 namespace xrefine::core {
 
+/// A set of keyword ids — positions in RefineInput::keywords — in
+/// ⌈m/64⌉ 64-bit words for m keywords. Partition and SLE key witnessed sets
+/// and candidate RQs by it, so set identity is a word compare instead of a
+/// sorted, joined keyword string.
+class KeywordBits {
+ public:
+  explicit KeywordBits(size_t m) : words_((m + 63) / 64, 0) {}
+
+  void Set(size_t id) { words_[id / 64] |= uint64_t{1} << (id % 64); }
+  bool Test(size_t id) const {
+    return (words_[id / 64] >> (id % 64)) & uint64_t{1};
+  }
+  void Clear() { words_.assign(words_.size(), 0); }
+
+  bool operator==(const KeywordBits& other) const = default;
+
+  struct Hash {
+    size_t operator()(const KeywordBits& bits) const {
+      uint64_t h = 0;
+      for (uint64_t w : bits.words_) h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+      return static_cast<size_t>(h ^ (h >> 32));
+    }
+  };
+
+ private:
+  std::vector<uint64_t> words_;
+};
+
 class RqSortedList {
  public:
   struct Entry {
     RefinedQuery rq;
+    KeywordBits key;  // rq.keywords as keyword ids
     std::vector<slca::SlcaResult> results;
   };
 
@@ -26,34 +54,33 @@ class RqSortedList {
   bool full() const { return entries_.size() >= capacity_; }
 
   /// Dissimilarity of the worst retained candidate (infinity when not yet
-  /// full) — the admission threshold of Algorithm 2 line 12 and the
-  /// early-stop bound of Algorithm 3.
+  /// full; minus infinity at capacity 0, where nothing may enter) — the
+  /// admission threshold of Algorithm 2 line 12 and the early-stop bound of
+  /// Algorithm 3.
   double AdmissionThreshold() const;
 
   /// True when a candidate with this dissimilarity could enter (or already
   /// is in) the list.
   bool CanAccept(double dissimilarity) const;
 
-  bool Contains(const Query& keywords) const;
+  /// True when the keyword set `key` has an entry.
+  bool Contains(const KeywordBits& key) const;
 
-  /// Inserts (or finds) the entry for `rq`; evicts the worst when over
-  /// capacity. Returns nullptr iff the candidate was rejected.
-  Entry* InsertOrFind(const RefinedQuery& rq);
-
-  /// Appends SLCA results to an existing entry (no-op when absent).
-  void AppendResults(const Query& keywords,
-                     const std::vector<slca::SlcaResult>& results);
+  /// The entry for `rq`, whose keyword set is `key`: the existing one, or a
+  /// new one inserted by dissimilarity (evicting the worst when over
+  /// capacity). Returns nullptr iff the candidate was rejected. The caller
+  /// appends SLCA results to the returned entry.
+  Entry* InsertOrFind(const RefinedQuery& rq, const KeywordBits& key);
 
   /// Entries by ascending dissimilarity.
   const std::vector<Entry>& entries() const { return entries_; }
   std::vector<Entry>& mutable_entries() { return entries_; }
 
  private:
-  size_t IndexOf(const std::string& key) const;
-
   size_t capacity_;
-  std::vector<Entry> entries_;  // kept sorted by rq.dissimilarity
-  std::unordered_map<std::string, bool> member_;  // QueryKey set
+  // Kept sorted by rq.dissimilarity; at most `capacity_` (2K) entries, so
+  // a linear scan over one-word keys is the membership test.
+  std::vector<Entry> entries_;
 };
 
 }  // namespace xrefine::core

@@ -4,31 +4,23 @@
 #include <limits>
 #include <unordered_set>
 
+#include "common/logging.h"
 #include "core/rq_sorted_list.h"
 
 namespace xrefine::core {
 
 namespace {
 
-size_t LowerBoundFrom(const slca::PostingSpan& list, size_t from,
-                      const xml::DeweyRef& bound) {
-  size_t lo = from;
-  size_t hi = list.size;
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (list.label(mid) < bound) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+// `keywords` as keyword ids. Every candidate RQ draws its keywords from a
+// witnessed set T ⊆ input.keywords (Lemma 2), so each one has an id.
+KeywordBits KeyOf(const RefineInput& input, const Query& keywords) {
+  KeywordBits key(input.keywords.size());
+  for (const std::string& k : keywords) {
+    auto it = input.keyword_index.find(k);
+    XR_DCHECK(it != input.keyword_index.end());
+    key.Set(it->second);
   }
-  return lo;
-}
-
-xml::Dewey PartitionUpperBound(const xml::Dewey& prefix) {
-  std::vector<uint32_t> c = prefix.components();
-  c.back() += 1;
-  return xml::Dewey(std::move(c));
+  return key;
 }
 
 }  // namespace
@@ -85,22 +77,24 @@ RefineOutcome ShortListEagerRefine(const index::IndexSource& corpus,
       // Deadline/cancel poll at partition granularity.
       if (input.Stopped()) return StoppedOutcome(stats);
       const xml::DeweyRef v = short_list.label(pos);
-      xml::Dewey prefix = v.Prefix(std::min<size_t>(2, v.depth()));
-      xml::Dewey upper = PartitionUpperBound(prefix);
-      pos = LowerBoundFrom(short_list, pos, xml::DeweyRef(upper));
+      // v's document partition: its depth-2 prefix, viewed in place.
+      const xml::DeweyRef partition(v.comps, std::min<uint32_t>(2, v.len));
+      pos = slca::GallopSubtreeEnd(short_list, pos, partition);
 
-      std::string pid = prefix.ToString();
+      std::string pid = partition.ToDewey().ToString();
       if (!processed_partitions.insert(pid).second) continue;
       ++stats.partitions_visited;
 
-      // Random-access every list for this partition to collect T.
+      // Random-access every list for this partition to collect T: a
+      // search from position 0 per list, the access the paper counts.
       KeywordSet witnessed;
       for (size_t j = 0; j < m; ++j) {
         ++stats.random_accesses;
-        size_t begin = LowerBoundFrom(input.lists[j], 0, xml::DeweyRef(prefix));
-        size_t end =
-            LowerBoundFrom(input.lists[j], begin, xml::DeweyRef(upper));
-        if (end > begin) witnessed.insert(input.keywords[j]);
+        const size_t begin =
+            static_cast<size_t>(slca::RightMatch(input.lists[j], partition));
+        if (slca::GallopSubtreeEnd(input.lists[j], begin, partition) > begin) {
+          witnessed.insert(input.keywords[j]);
+        }
       }
       if (witnessed.empty()) continue;
 
@@ -109,7 +103,9 @@ RefineOutcome ShortListEagerRefine(const index::IndexSource& corpus,
           input.q, witnessed, input.rules, candidate_budget);
       stats.candidates_enumerated += candidates.size();
       for (const RefinedQuery& rq : candidates) {
-        if (rq_list.InsertOrFind(rq) == nullptr) ++stats.candidates_pruned;
+        if (rq_list.InsertOrFind(rq, KeyOf(input, rq.keywords)) == nullptr) {
+          ++stats.candidates_pruned;
+        }
       }
     }
 

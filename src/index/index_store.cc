@@ -138,7 +138,7 @@ std::string EncodeFreqRow(const StatisticsTable::PerTypeStats& row) {
 }
 
 Status DecodeFreqRow(std::string_view data, const std::string& keyword,
-                     StatisticsTable* stats) {
+                     size_t type_count, StatisticsTable* stats) {
   const char* p = data.data();
   const char* limit = data.data() + data.size();
   uint32_t count = 0;
@@ -152,6 +152,12 @@ Status DecodeFreqRow(std::string_view data, const std::string& keyword,
     if (!GetVarint32(&p, limit, &type) || !GetVarint32(&p, limit, &df) ||
         !GetVarint64(&p, limit, &tf)) {
       return Status::Corruption("freq row: truncated entry");
+    }
+    // Search-for inference indexes the type table by these ids.
+    if (type >= type_count) {
+      return Status::Corruption("freq row: type id " + std::to_string(type) +
+                                " out of range (" + std::to_string(type_count) +
+                                " types)");
     }
     if (df > 0) stats->AddDocumentFrequency(keyword, type, df);
     if (tf > 0) stats->AddTermFrequency(keyword, type, tf);
@@ -289,7 +295,8 @@ Status LoadCorpusMetadata(const storage::KVStore& store,
     if (key.substr(0, 2) != std::string_view(freq_prefix)) break;
     std::string keyword(key.substr(2));
     std::string value = fcursor.value();
-    XREFINE_RETURN_IF_ERROR(DecodeFreqRow(value, keyword, stats));
+    XREFINE_RETURN_IF_ERROR(
+        DecodeFreqRow(value, keyword, types->size(), stats));
   }
   return fcursor.status();
 }
@@ -308,7 +315,8 @@ StatusOr<std::unique_ptr<IndexedCorpus>> LoadCorpus(
     if (key.substr(0, 2) != std::string_view(inverted_prefix)) break;
     std::string value = cursor.value();
     XREFINE_RETURN_IF_ERROR(DecodePostingsFlat(
-        value, corpus->mutable_index().MutableList(key.substr(2))));
+        value, corpus->types().size(),
+        corpus->mutable_index().MutableList(key.substr(2))));
   }
   // Valid() going false means either "past the last key" or "a page fetch
   // failed mid-scan"; only the cursor's sticky status tells them apart.

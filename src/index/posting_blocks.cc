@@ -33,8 +33,8 @@ const DecodeMetrics& Metrics() {
 // Decodes `count` prefix-delta postings from [*p, payload_limit) into `out`.
 // `scratch` carries the previous label across the block's postings.
 Status DecodeDeltaRun(const char** p, const char* payload_limit,
-                      uint32_t count, std::vector<uint32_t>* scratch,
-                      FlatPostingList* out) {
+                      uint32_t count, size_t type_count,
+                      std::vector<uint32_t>* scratch, FlatPostingList* out) {
   scratch->clear();
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t type = 0;
@@ -44,6 +44,11 @@ Status DecodeDeltaRun(const char** p, const char* payload_limit,
         !GetVarint32(p, payload_limit, &reuse) ||
         !GetVarint32(p, payload_limit, &fresh)) {
       return Status::Corruption("postings: truncated header");
+    }
+    if (type >= type_count) {
+      return Status::Corruption("postings: type id " + std::to_string(type) +
+                                " out of range (" + std::to_string(type_count) +
+                                " types)");
     }
     if (reuse > scratch->size()) {
       return Status::Corruption("postings: reuse exceeds previous depth");
@@ -56,6 +61,7 @@ Status DecodeDeltaRun(const char** p, const char* payload_limit,
       }
       scratch->push_back(c);
     }
+    if (scratch->empty()) return Status::Corruption("postings: empty label");
     out->Append(xml::DeweyRef(scratch->data(),
                               static_cast<uint32_t>(scratch->size())),
                 type);
@@ -99,7 +105,8 @@ std::string EncodePostings(const FlatPostingList& list,
   return out;
 }
 
-Status DecodePostingsFlat(std::string_view data, FlatPostingList* out) {
+Status DecodePostingsFlat(std::string_view data, size_t type_count,
+                          FlatPostingList* out) {
   Metrics().list_fetches->Increment();
   Metrics().bytes_decoded->Increment(data.size());
   const char* p = data.data();
@@ -172,7 +179,7 @@ Status DecodePostingsFlat(std::string_view data, FlatPostingList* out) {
     }
     const char* payload_limit = p + payload_bytes;
     XREFINE_RETURN_IF_ERROR(
-        DecodeDeltaRun(&p, payload_limit, count, &scratch, out));
+        DecodeDeltaRun(&p, payload_limit, count, type_count, &scratch, out));
     if (p != payload_limit) {
       return Status::Corruption("postings: block payload has trailing bytes");
     }

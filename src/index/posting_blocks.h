@@ -19,7 +19,9 @@
 // Every count and length is validated against the remaining bytes, a block
 // must decode to exactly its declared posting count consuming exactly its
 // declared payload bytes, its last label must equal its header max (a
-// self-check on every block), block maxes must ascend, the per-block counts
+// self-check on every block), block maxes must ascend, every type id must
+// name an entry of the caller's type table, no label may be empty (the
+// root is "0", never ""), the per-block counts
 // must sum to the record's total, and trailing bytes after the last block
 // are corruption — a truncated or bit-flipped record yields a non-OK
 // Status, never a silently short list.
@@ -48,8 +50,13 @@ std::string EncodePostings(
 /// per-posting allocations. The one decode path: the in-memory load, the
 /// store-backed source and the fuzzer all go through it, and each call
 /// counts one `index.list_fetches` and the record's size in
-/// `index.bytes_decoded`. On error `out` holds an unspecified prefix.
+/// `index.bytes_decoded`. Beyond the layout checks, every posting's type id
+/// must be below `type_count` (the node-type table the store carries) and
+/// every label must be non-empty — the query path indexes the type table by
+/// the id and derives partition bounds from the label. On error `out` holds
+/// an unspecified prefix.
 [[nodiscard]] Status DecodePostingsFlat(std::string_view data,
+                                        size_t type_count,
                                         FlatPostingList* out);
 
 /// Reads only the posting count from a record's first bytes (the version

@@ -147,7 +147,8 @@ StatusOr<PostingListHandle> StoreBackedIndexSource::FetchListImpl(
     return value_or.status();
   }
   auto list = std::make_shared<FlatPostingList>();
-  XREFINE_RETURN_IF_ERROR(DecodePostingsFlat(value_or.value(), list.get()));
+  XREFINE_RETURN_IF_ERROR(
+      DecodePostingsFlat(value_or.value(), types_.size(), list.get()));
   // Cache entries live long; decode-time capacity slack would inflate the
   // byte budget, so trim before measuring.
   list->ShrinkToFit();

@@ -47,19 +47,21 @@ ptrdiff_t RightMatch(const PostingSpan& span, const xml::DeweyRef& v) {
   return lo;
 }
 
-size_t GallopLowerBound(const PostingSpan& span, size_t from,
-                        const xml::DeweyRef& v) {
-  if (from >= span.size || span.label(from) >= v) return from;
-  // label(from) < v; double the probe distance until we bracket v.
+namespace {
+
+// Leftmost index in [from, size) where `before` turns false, for a
+// predicate that holds on a prefix of that range: double the probe distance
+// until it brackets the turn, then binary-search the bracketed window.
+template <typename Before>
+size_t Gallop(const PostingSpan& span, size_t from, Before before) {
+  if (from >= span.size || !before(from)) return from;
   size_t bound = 1;
-  while (from + bound < span.size && span.label(from + bound) < v) {
-    bound <<= 1;
-  }
-  size_t lo = from + bound / 2 + 1;  // last probe < v
+  while (from + bound < span.size && before(from + bound)) bound <<= 1;
+  size_t lo = from + bound / 2 + 1;  // the last probe still satisfied it
   size_t hi = std::min(from + bound, span.size);
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    if (span.label(mid) < v) {
+    if (before(mid)) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -68,24 +70,23 @@ size_t GallopLowerBound(const PostingSpan& span, size_t from,
   return lo;
 }
 
+}  // namespace
+
+size_t GallopLowerBound(const PostingSpan& span, size_t from,
+                        const xml::DeweyRef& v) {
+  return Gallop(span, from, [&](size_t i) { return span.label(i) < v; });
+}
+
 size_t GallopUpperBound(const PostingSpan& span, size_t from,
                         const xml::DeweyRef& v) {
-  if (from >= span.size || span.label(from) > v) return from;
-  size_t bound = 1;
-  while (from + bound < span.size && span.label(from + bound) <= v) {
-    bound <<= 1;
-  }
-  size_t lo = from + bound / 2 + 1;  // last probe <= v
-  size_t hi = std::min(from + bound, span.size);
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (span.label(mid) <= v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return Gallop(span, from, [&](size_t i) { return span.label(i) <= v; });
+}
+
+size_t GallopSubtreeEnd(const PostingSpan& span, size_t from,
+                        const xml::DeweyRef& root) {
+  return Gallop(span, from, [&](size_t i) {
+    return xml::CommonPrefixDepth(root, span.label(i)) == root.len;
+  });
 }
 
 std::vector<SlcaResult> KeepSmallest(std::vector<SlcaResult> candidates) {

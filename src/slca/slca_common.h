@@ -100,6 +100,17 @@ size_t GallopLowerBound(const PostingSpan& span, size_t from,
 size_t GallopUpperBound(const PostingSpan& span, size_t from,
                         const xml::DeweyRef& v);
 
+/// Leftmost index in [from, size) whose label lies outside the subtree of
+/// `root` (is neither `root` nor a descendant of it), found by galloping.
+/// The caller must guarantee label(from) >= root, so the subtree's postings
+/// are the run starting at `from`: the end of a document partition (or any
+/// subtree) is one probe when the run is empty. The test is a prefix
+/// comparison against `root` itself — no "next sibling" bound is built by
+/// incrementing its last component, so a component of UINT32_MAX cannot
+/// wrap the bound to an earlier label.
+size_t GallopSubtreeEnd(const PostingSpan& span, size_t from,
+                        const xml::DeweyRef& root);
+
 /// Sorts candidates in document order, dedupes, and removes every node that
 /// has a proper descendant in the set (the "smallest" filter).
 std::vector<SlcaResult> KeepSmallest(std::vector<SlcaResult> candidates);

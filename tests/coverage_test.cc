@@ -76,6 +76,33 @@ TEST(SlcaCommonTest, GallopingBoundsMatchBinarySearch) {
   }
 }
 
+TEST(SlcaCommonTest, GallopSubtreeEndMatchesLinearScan) {
+  // Subtrees ending at the last ordinal a component can hold: a bound
+  // built as "last component + 1" would wrap to 0 there.
+  auto list = MakeList({"0.1", "0.1.3", "0.2", "0.2.0", "0.2.4.1",
+                        "0.4294967295", "0.4294967295.0", "1", "1.0"});
+  PostingSpan span(list);
+  const char* roots[] = {"0", "0.1", "0.2", "0.2.4", "0.3", "0.4294967295",
+                         "1", "2"};
+  for (const char* r : roots) {
+    xml::Dewey root = xml::Dewey::Parse(r).value();
+    xml::DeweyRef ref(root);
+    size_t lb = 0;
+    while (lb < span.size && span.label(lb) < ref) ++lb;
+    size_t end = lb;
+    while (end < span.size &&
+           xml::CommonPrefixDepth(ref, span.label(end)) == ref.len) {
+      ++end;
+    }
+    // Every start at or past the subtree's first posting satisfies the
+    // precondition label(from) >= root.
+    for (size_t from = lb; from <= span.size; ++from) {
+      EXPECT_EQ(slca::GallopSubtreeEnd(span, from, ref), std::max(from, end))
+          << r << " from " << from;
+    }
+  }
+}
+
 TEST(SlcaCommonTest, KeepSmallestDropsAncestorsAndDuplicates) {
   auto d = [](const char* s) { return xml::Dewey::Parse(s).value(); };
   std::vector<slca::SlcaResult> in = {

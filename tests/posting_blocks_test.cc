@@ -19,6 +19,10 @@
 namespace xrefine::index {
 namespace {
 
+// The size of the node-type table the records below decode against: every
+// list here draws its type ids from [0, kTypes).
+constexpr size_t kTypes = 8;
+
 // A list of type-0 postings with the given labels, in the given order.
 FlatPostingList L(std::initializer_list<std::vector<uint32_t>> labels) {
   FlatPostingList list;
@@ -54,7 +58,7 @@ FlatPostingList RandomList(Random& rng, size_t n, size_t max_depth) {
 void ExpectRoundTrip(const FlatPostingList& list, size_t block_capacity) {
   std::string record = EncodePostings(list, block_capacity);
   FlatPostingList decoded;
-  ASSERT_TRUE(DecodePostingsFlat(record, &decoded).ok());
+  ASSERT_TRUE(DecodePostingsFlat(record, kTypes, &decoded).ok());
   EXPECT_EQ(decoded, list);
   uint32_t count = 0;
   ASSERT_TRUE(DecodePostingCount(record, &count).ok());
@@ -116,8 +120,12 @@ TEST(PostingBlocksTest, RoundTripEmptyList) {
 
 TEST(PostingBlocksTest, RoundTripSinglePosting) {
   ExpectRoundTrip(L({{0, 3, 1}}), 128);
-  // Root (depth-0) label is representable too.
-  ExpectRoundTrip(L({{}}), 128);
+  // The root is labelled "0"; an empty (depth-0) label names no node, so
+  // the encoder can write one but the decoder rejects it.
+  FlatPostingList decoded;
+  Status st =
+      DecodePostingsFlat(EncodePostings(L({{}}), 128), kTypes, &decoded);
+  EXPECT_TRUE(st.IsCorruption()) << st;
 }
 
 TEST(PostingBlocksTest, RoundTripMaxDepthLabel) {
@@ -199,7 +207,7 @@ TEST(PostingFormatPinTest, CommittedSeedsReencodeByteForByte) {
     ASSERT_GT(seed.size(), kProbeBytes) << name;
     std::string record = seed.substr(kProbeBytes);
     FlatPostingList list;
-    ASSERT_TRUE(DecodePostingsFlat(record, &list).ok()) << name;
+    ASSERT_TRUE(DecodePostingsFlat(record, kTypes, &list).ok()) << name;
     uint32_t capacity = 0;
     ReadBlockHeaders(record, &capacity);
     EXPECT_EQ(EncodePostings(list, capacity), record) << name;
@@ -212,7 +220,7 @@ TEST(PostingFormatPinTest, RetiredAndCrasherSeedsAreRejected) {
   for (const char* name : {"v2_flat", "crash-v2-trailing-bytes"}) {
     std::string record = ReadSeed(name).substr(kProbeBytes);
     FlatPostingList list;
-    Status st = DecodePostingsFlat(record, &list);
+    Status st = DecodePostingsFlat(record, kTypes, &list);
     EXPECT_TRUE(st.IsCorruption()) << name << ": " << st;
     EXPECT_NE(st.message().find("unsupported format version 2"),
               std::string::npos)
@@ -222,7 +230,8 @@ TEST(PostingFormatPinTest, RetiredAndCrasherSeedsAreRejected) {
   }
   for (const char* name : {"crash-v3-unsorted-block-max", "v3_truncated"}) {
     FlatPostingList list;
-    Status st = DecodePostingsFlat(ReadSeed(name).substr(kProbeBytes), &list);
+    Status st =
+        DecodePostingsFlat(ReadSeed(name).substr(kProbeBytes), kTypes, &list);
     EXPECT_TRUE(st.IsCorruption()) << name << ": " << st;
   }
 }
@@ -243,7 +252,7 @@ bool ReadDeclaredCount(const std::string& record, uint32_t* count) {
 // this test too).
 void ExpectFailsOrExactCount(const std::string& record) {
   FlatPostingList flat;
-  Status st = DecodePostingsFlat(record, &flat);
+  Status st = DecodePostingsFlat(record, kTypes, &flat);
   if (!st.ok()) return;
   uint32_t declared = 0;
   ASSERT_TRUE(ReadDeclaredCount(record, &declared));
@@ -256,7 +265,7 @@ TEST(PostingBlocksFuzzTest, EveryTruncationFailsLoudly) {
   for (size_t len = 0; len < record.size(); ++len) {
     std::string truncated = record.substr(0, len);
     FlatPostingList flat;
-    Status st = DecodePostingsFlat(truncated, &flat);
+    Status st = DecodePostingsFlat(truncated, kTypes, &flat);
     // A strict prefix can never decode to the full declared count, so OK
     // is unconditionally a silent-truncation bug here.
     EXPECT_FALSE(st.ok()) << "decoded a " << len << "-byte prefix of a "
@@ -268,7 +277,7 @@ TEST(PostingBlocksFuzzTest, TrailingBytesAreRejected) {
   for (char trailing : {'\0', '\x05'}) {
     std::string record = EncodePostings(L({{0, 1}, {0, 2}})) + trailing;
     FlatPostingList flat;
-    EXPECT_FALSE(DecodePostingsFlat(record, &flat).ok());
+    EXPECT_FALSE(DecodePostingsFlat(record, kTypes, &flat).ok());
   }
 }
 
@@ -314,7 +323,7 @@ std::string Bytes(std::initializer_list<uint8_t> bytes) {
 
 void ExpectRejectedBy(const std::string& record, const std::string& check) {
   FlatPostingList flat;
-  Status st = DecodePostingsFlat(record, &flat);
+  Status st = DecodePostingsFlat(record, kTypes, &flat);
   ASSERT_FALSE(st.ok()) << check;
   EXPECT_TRUE(st.IsCorruption()) << st;
   EXPECT_NE(st.message().find(check), std::string::npos)
@@ -329,7 +338,7 @@ TEST(PostingDecodeChecksTest, ValidHandBuiltRecordDecodes) {
   // fresh 2, components 0 3. The cases below each break one field of it.
   std::string record = kOnePostingHead + Bytes({5, 1, 2, 0, 3, 1, 0, 2, 0, 3});
   FlatPostingList flat;
-  ASSERT_TRUE(DecodePostingsFlat(record, &flat).ok());
+  ASSERT_TRUE(DecodePostingsFlat(record, kTypes, &flat).ok());
   ASSERT_EQ(flat.size(), 1u);
   EXPECT_EQ(flat.DeweyAt(0), xml::Dewey({0, 3}));
   EXPECT_EQ(flat.type(0), 1u);
@@ -412,7 +421,8 @@ TEST(PostingDecodeChecksTest, BlockMaxesOutOfOrder) {
   };
   const std::string head = Bytes({3, 2, 1});  // v3, total 2, capacity 1
   FlatPostingList flat;
-  EXPECT_TRUE(DecodePostingsFlat(head + block(3) + block(5), &flat).ok());
+  EXPECT_TRUE(
+      DecodePostingsFlat(head + block(3) + block(5), kTypes, &flat).ok());
   ExpectRejectedBy(head + block(5) + block(3),
                    "block max labels out of order");
 }
@@ -449,6 +459,28 @@ TEST(PostingDecodeChecksTest, TruncatedPosting) {
                    "truncated header");
   ExpectRejectedBy(kOnePostingHead + Bytes({4, 1, 0, 0, 0, 3, 0}),
                    "truncated dewey");
+}
+
+TEST(PostingDecodeChecksTest, TypeIdOutOfRange) {
+  // The valid record's posting has type 1: fine against two types, rejected
+  // against one — the query path indexes the type table by this id.
+  const std::string record =
+      kOnePostingHead + Bytes({5, 1, 2, 0, 3, 1, 0, 2, 0, 3});
+  FlatPostingList flat;
+  EXPECT_TRUE(DecodePostingsFlat(record, 2, &flat).ok());
+  FlatPostingList rejected;
+  Status st = DecodePostingsFlat(record, 1, &rejected);
+  EXPECT_TRUE(st.IsCorruption()) << st;
+  EXPECT_NE(st.message().find("type id 1 out of range (1 types)"),
+            std::string::npos)
+      << st;
+}
+
+TEST(PostingDecodeChecksTest, EmptyLabel) {
+  // One posting with reuse 0 and fresh 0 under a depth-0 header max: the
+  // layout checks all pass, but no node has the empty label.
+  ExpectRejectedBy(kOnePostingHead + Bytes({3, 1, 0, 0, 0, 0}),
+                   "empty label");
 }
 
 TEST(PostingDecodeChecksTest, CountOnlyReadAcceptsVersionThreeOnly) {

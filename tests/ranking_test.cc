@@ -160,50 +160,89 @@ TEST_F(RankingTest, BetaZeroDisablesDependence) {
 
 // --- RqSortedList --------------------------------------------------------------
 
-RefinedQuery RQ(Query q, double dsim) {
-  return RefinedQuery{std::move(q), dsim, {}};
+// Test keywords are single letters; a letter's keyword id is its alphabet
+// position, over a 26-keyword universe.
+KeywordBits Key(const Query& q) {
+  KeywordBits key(26);
+  for (const std::string& k : q) key.Set(static_cast<size_t>(k[0] - 'a'));
+  return key;
+}
+
+RqSortedList::Entry* Insert(RqSortedList& list, Query q, double dsim) {
+  KeywordBits key = Key(q);
+  return list.InsertOrFind(RefinedQuery{std::move(q), dsim, {}}, key);
 }
 
 TEST(RqSortedListTest, KeepsAscendingOrderAndCapacity) {
   RqSortedList list(3);
   EXPECT_TRUE(list.CanAccept(100.0));  // not yet full
-  list.InsertOrFind(RQ({"c"}, 3.0));
-  list.InsertOrFind(RQ({"a"}, 1.0));
-  list.InsertOrFind(RQ({"b"}, 2.0));
+  Insert(list, {"c"}, 3.0);
+  Insert(list, {"a"}, 1.0);
+  Insert(list, {"b"}, 2.0);
   ASSERT_EQ(list.size(), 3u);
   EXPECT_DOUBLE_EQ(list.entries()[0].rq.dissimilarity, 1.0);
   EXPECT_DOUBLE_EQ(list.entries()[2].rq.dissimilarity, 3.0);
   EXPECT_DOUBLE_EQ(list.AdmissionThreshold(), 3.0);
 
   // A better candidate evicts the worst.
-  list.InsertOrFind(RQ({"d"}, 0.5));
+  Insert(list, {"d"}, 0.5);
   ASSERT_EQ(list.size(), 3u);
-  EXPECT_FALSE(list.Contains({"c"}));
-  EXPECT_TRUE(list.Contains({"d"}));
+  EXPECT_FALSE(list.Contains(Key({"c"})));
+  EXPECT_TRUE(list.Contains(Key({"d"})));
 
   // A worse candidate is rejected.
-  EXPECT_EQ(list.InsertOrFind(RQ({"e"}, 9.0)), nullptr);
-  EXPECT_FALSE(list.Contains({"e"}));
+  EXPECT_EQ(Insert(list, {"e"}, 9.0), nullptr);
+  EXPECT_FALSE(list.Contains(Key({"e"})));
 }
 
 TEST(RqSortedListTest, DuplicateKeywordSetsAreMerged) {
   RqSortedList list(4);
-  list.InsertOrFind(RQ({"x", "y"}, 1.0));
-  auto* again = list.InsertOrFind(RQ({"y", "x"}, 1.0));  // same set
+  Insert(list, {"x", "y"}, 1.0);
+  auto* again = Insert(list, {"y", "x"}, 1.0);  // same set
   ASSERT_NE(again, nullptr);
   EXPECT_EQ(list.size(), 1u);
 }
 
-TEST(RqSortedListTest, AppendResultsAccumulates) {
+TEST(RqSortedListTest, ResultsAccumulateOnTheReturnedEntry) {
   RqSortedList list(2);
-  list.InsertOrFind(RQ({"x"}, 1.0));
+  Insert(list, {"x"}, 1.0);
   slca::SlcaResult r1{xml::Dewey({0, 1}), 0};
   slca::SlcaResult r2{xml::Dewey({0, 2}), 0};
-  list.AppendResults({"x"}, {r1});
-  list.AppendResults({"x"}, {r2});
+  Insert(list, {"x"}, 1.0)->results.push_back(r1);
+  Insert(list, {"x"}, 1.0)->results.push_back(r2);
   ASSERT_EQ(list.entries()[0].results.size(), 2u);
-  // Appending to an unknown RQ is a no-op.
-  list.AppendResults({"unknown"}, {r1});
+  // An RQ the full list rejects has no entry to append to.
+  Insert(list, {"y"}, 2.0);
+  EXPECT_EQ(Insert(list, {"u"}, 3.0), nullptr);
+  EXPECT_EQ(list.entries()[0].results.size(), 2u);
+  EXPECT_TRUE(list.entries()[1].results.empty());
+}
+
+TEST(RqSortedListTest, ZeroCapacityAdmitsNothing) {
+  RqSortedList list(0);
+  EXPECT_TRUE(list.full());
+  EXPECT_FALSE(list.CanAccept(0.0));
+  EXPECT_EQ(Insert(list, {"a"}, 0.0), nullptr);
+  EXPECT_EQ(list.size(), 0u);
+}
+
+TEST(RqSortedListTest, KeysSpanSeveralWords) {
+  // Ids 3 and 67 land in different 64-bit words of a 70-keyword universe;
+  // sets that differ only in the second word are distinct keys.
+  KeywordBits a(70);
+  a.Set(3);
+  a.Set(67);
+  KeywordBits b(70);
+  b.Set(3);
+  b.Set(66);
+  EXPECT_TRUE(a.Test(67));
+  EXPECT_FALSE(a.Test(66));
+  RqSortedList list(4);
+  list.InsertOrFind(RefinedQuery{{"k3", "k67"}, 1.0, {}}, a);
+  EXPECT_TRUE(list.Contains(a));
+  EXPECT_FALSE(list.Contains(b));
+  list.InsertOrFind(RefinedQuery{{"k3", "k66"}, 1.0, {}}, b);
+  EXPECT_EQ(list.size(), 2u);
 }
 
 }  // namespace

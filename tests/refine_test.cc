@@ -2,6 +2,12 @@
 // the Figure 1 document and cross-algorithm agreement properties on
 // generated corpora with corrupted queries.
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -233,6 +239,274 @@ TEST_P(RefineAgreementTest, AlgorithmsAgreeOnBestDissimilarity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RefineAgreementTest,
                          ::testing::Values(3, 13, 23));
+
+// Regression: at top_k = 0 the candidate list is "full" while empty, and
+// SLE's early stop read the worst entry of that empty list (a crash,
+// reachable from xrefine_cli's ":topk 0").
+TEST_F(RefineFigure1Test, ZeroTopKReturnsNoRefinements) {
+  for (auto algorithm : kAllAlgorithms) {
+    auto outcome = Run({"database", "publication"}, algorithm, /*top_k=*/0);
+    EXPECT_TRUE(outcome.status.ok()) << RefineAlgorithmName(algorithm);
+    EXPECT_TRUE(outcome.refined.empty()) << RefineAlgorithmName(algorithm);
+  }
+}
+
+// --- hand-built inputs ------------------------------------------------------
+//
+// A corpus assembled posting by posting over the type chain r/p/e, and a
+// RefineInput over it that bypasses rule generation, so a test controls
+// exactly which keywords (in which id order), lists and rules the
+// algorithms see. Results are meaningful at or below an r/p node.
+
+constexpr xml::TypeId kEntityType = 1;  // r/p
+constexpr xml::TypeId kLeafType = 2;    // r/p/e
+
+std::unique_ptr<index::IndexedCorpus> ChainTypedCorpus() {
+  auto corpus = std::make_unique<index::IndexedCorpus>();
+  auto& types = corpus->mutable_types();
+  xml::TypeId r = types.Intern(xml::kInvalidTypeId, "r");
+  xml::TypeId p = types.Intern(r, "p");
+  types.Intern(p, "e");
+  return corpus;
+}
+
+RefineInput HandBuiltInput(const index::IndexedCorpus& corpus, Query q,
+                           const std::vector<std::string>& keywords,
+                           RuleSet rules = {}) {
+  RefineInput input;
+  input.q = std::move(q);
+  input.rules = std::move(rules);
+  for (const std::string& k : keywords) {
+    auto handle_or = corpus.FetchList(k);
+    index::PostingListHandle handle = std::move(handle_or).value();
+    input.keyword_index.emplace(k, input.keywords.size());
+    input.keywords.push_back(k);
+    input.lists.emplace_back(*handle);
+    input.pins.push_back(std::move(handle));
+    input.universe.insert(k);
+  }
+  input.search_for = {slca::TypeConfidence{kEntityType, 1.0}};
+  return input;
+}
+
+// Regression: the partition bound was the depth-2 prefix with its last
+// component incremented, which wraps to 0 at UINT32_MAX. The partition came
+// out empty, the cursor never moved, and Partition and SLE spun until their
+// deadline (forever without one). A store can carry such a label: the
+// decoder checks label order, not component values.
+TEST(RefineHandBuiltTest, PartitionAtUint32MaxComponentTerminates) {
+  auto corpus = ChainTypedCorpus();
+  const xml::Dewey label({0, UINT32_MAX, 0});
+  corpus->mutable_index().MutableList("x")->Append(label, kLeafType);
+  corpus->mutable_index().MutableList("y")->Append(label, kLeafType);
+  RefineInput input = HandBuiltInput(*corpus, {"x", "y"}, {"x", "y"});
+  RefineControl control;
+  control.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  input.control = &control;
+
+  const RefineOutcome outcomes[] = {PartitionRefine(*corpus, input),
+                                    ShortListEagerRefine(*corpus, input)};
+  for (const RefineOutcome& outcome : outcomes) {
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status;
+    EXPECT_FALSE(outcome.needs_refinement);
+    ASSERT_FALSE(outcome.refined.empty());
+    EXPECT_EQ(QueryKey(outcome.refined[0].rq.keywords), QueryKey({"x", "y"}));
+    EXPECT_EQ(testutil::DeweyStrings(outcome.refined[0].results),
+              std::vector<std::string>{"0.4294967295.0"});
+  }
+}
+
+// Keyword sets wider than one 64-bit word: 70 keywords, and an RQ whose
+// keyword ids straddle bit 64 — differently in the natural and the reversed
+// keyword order. Partition's outcome must not depend on the ids, and the
+// top RQ's results must be its SLCA over the whole lists.
+TEST(RefineHandBuiltTest, PartitionBitsetsSpanTwoWords) {
+  auto corpus = ChainTypedCorpus();
+  std::vector<std::string> keywords;
+  for (uint32_t j = 0; j < 70; ++j) keywords.push_back("k" + std::to_string(j));
+  for (uint32_t i = 0; i < 24; ++i) {
+    for (uint32_t j = 0; j < 70; ++j) {
+      if ((i + j) % 4 == 0) continue;  // varied witnessed sets
+      corpus->mutable_index().MutableList(keywords[j])->Append(
+          xml::Dewey({0, i, j}), kLeafType);
+    }
+  }
+  // Q = {k5, k66, k30}, and a rule offering k67 for k30: ids 5/30/66/67 in
+  // the natural order, 64/39/3/2 in the reversed one.
+  RuleSet rules;
+  rules.Add(RefinementRule{{"k30"}, {"k67"}, RefineOp::kSubstitution, 1.0});
+  const Query q = {"k5", "k66", "k30"};
+  std::vector<std::string> reversed(keywords.rbegin(), keywords.rend());
+  const RefineInput natural_input =
+      HandBuiltInput(*corpus, q, keywords, rules);
+  const RefineInput reversed_input =
+      HandBuiltInput(*corpus, q, reversed, rules);
+  PartitionRefineOptions options;
+  options.top_k = 4;
+  const RefineOutcome natural = PartitionRefine(*corpus, natural_input, options);
+  const RefineOutcome permuted =
+      PartitionRefine(*corpus, reversed_input, options);
+
+  ASSERT_TRUE(natural.status.ok());
+  ASSERT_TRUE(permuted.status.ok());
+  EXPECT_EQ(natural.needs_refinement, permuted.needs_refinement);
+  ASSERT_EQ(natural.refined.size(), permuted.refined.size());
+  ASSERT_GE(natural.refined.size(), 2u);
+  for (size_t r = 0; r < natural.refined.size(); ++r) {
+    EXPECT_EQ(natural.refined[r].rq.keywords, permuted.refined[r].rq.keywords);
+    EXPECT_EQ(natural.refined[r].rq.dissimilarity,
+              permuted.refined[r].rq.dissimilarity);
+    EXPECT_EQ(testutil::DeweyStrings(natural.refined[r].results),
+              testutil::DeweyStrings(permuted.refined[r].results));
+  }
+  EXPECT_EQ(natural.stats.partitions_visited, permuted.stats.partitions_visited);
+  EXPECT_EQ(natural.stats.dp_calls, permuted.stats.dp_calls);
+  EXPECT_EQ(natural.stats.slca_calls, permuted.stats.slca_calls);
+  EXPECT_EQ(natural.stats.candidates_enumerated,
+            permuted.stats.candidates_enumerated);
+  EXPECT_EQ(natural.stats.candidates_pruned, permuted.stats.candidates_pruned);
+
+  const RankedRq& top = natural.refined[0];
+  std::vector<slca::PostingSpan> spans;
+  for (const std::string& k : top.rq.keywords) {
+    spans.push_back(*natural_input.SpanFor(k));
+  }
+  std::vector<slca::SlcaResult> direct = slca::FilterMeaningful(
+      slca::ComputeSlca(spans, corpus->types(), options.slca_algorithm),
+      natural_input.search_for, corpus->types());
+  ASSERT_FALSE(direct.empty());
+  EXPECT_EQ(testutil::DeweyStrings(top.results),
+            testutil::DeweyStrings(direct));
+}
+
+// --- pinned answers and work of Partition and SLE ---------------------------
+//
+// 200 corrupted queries from the agreement generator above (four DBLP seeds,
+// 50 queries each) run through Partition with pruning on, Partition with
+// pruning off, and Short-List Eager. Each configuration folds every outcome
+// into one FNV-1a digest — status, needs_refinement, then per refined RQ in
+// rank order its keywords, result count and result labels (no
+// floating-point bits) — and sums every RefineStats field. A change to the
+// scan's bookkeeping must leave all of it untouched; a change that alters
+// answers or work on purpose updates the constants and says why.
+
+struct PinnedRun {
+  uint64_t digest;
+  RefineStats stats;
+};
+
+class Fnv1a {
+ public:
+  void Add(std::string_view bytes) {
+    for (unsigned char c : bytes) {
+      hash_ ^= c;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xff;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+void AddStats(const RefineStats& s, RefineStats* sum) {
+  sum->partitions_visited += s.partitions_visited;
+  sum->partitions_pruned += s.partitions_pruned;
+  sum->slca_calls += s.slca_calls;
+  sum->dp_calls += s.dp_calls;
+  sum->random_accesses += s.random_accesses;
+  sum->nodes_popped += s.nodes_popped;
+  sum->candidates_enumerated += s.candidates_enumerated;
+  sum->candidates_pruned += s.candidates_pruned;
+}
+
+std::string StatsString(const RefineStats& s) {
+  return "{" + std::to_string(s.partitions_visited) + ", " +
+         std::to_string(s.partitions_pruned) + ", " +
+         std::to_string(s.slca_calls) + ", " + std::to_string(s.dp_calls) +
+         ", " + std::to_string(s.random_accesses) + ", " +
+         std::to_string(s.nodes_popped) + ", " +
+         std::to_string(s.candidates_enumerated) + ", " +
+         std::to_string(s.candidates_pruned) + "}";
+}
+
+TEST(RefinePinTest, PartitionAndSleAnswersAndWorkArePinned) {
+  struct Config {
+    const char* name;
+    RefineAlgorithm algorithm;
+    bool prune_partitions;
+  };
+  const Config configs[] = {
+      {"partition", RefineAlgorithm::kPartition, true},
+      {"partition-noprune", RefineAlgorithm::kPartition, false},
+      {"sle", RefineAlgorithm::kShortListEager, true},
+  };
+  Fnv1a digests[3];
+  RefineStats sums[3];
+  size_t queries = 0;
+  auto lexicon = text::Lexicon::BuiltIn();
+  for (uint64_t seed : {3, 13, 23, 33}) {
+    workload::DblpOptions gen;
+    gen.num_authors = 40;
+    gen.seed = seed;
+    auto doc = workload::GenerateDblp(gen);
+    auto corpus = index::BuildIndex(doc);
+    workload::Corruptor corruptor(&corpus->index(), &lexicon);
+    workload::QueryGeneratorOptions qg;
+    qg.seed = seed * 31 + 1;
+    workload::QueryGenerator qgen(&doc, corpus.get(), &corruptor, qg);
+    auto pool = qgen.GeneratePool(50);
+    queries += pool.size();
+    for (size_t c = 0; c < 3; ++c) {
+      XRefineOptions options;
+      options.algorithm = configs[c].algorithm;
+      options.prune_partitions = configs[c].prune_partitions;
+      options.top_k = 3;
+      XRefine engine(corpus.get(), &lexicon, options);
+      for (const auto& cq : pool) {
+        RefineOutcome outcome = engine.Run(cq.corrupted);
+        Fnv1a& d = digests[c];
+        d.Add(static_cast<uint64_t>(outcome.status.code()));
+        d.Add(uint64_t{outcome.needs_refinement});
+        d.Add(uint64_t{outcome.refined.size()});
+        for (const RankedRq& r : outcome.refined) {
+          for (const std::string& k : r.rq.keywords) {
+            d.Add(k);
+            d.Add(std::string_view("\x01", 1));
+          }
+          d.Add(uint64_t{r.results.size()});
+          for (const auto& res : r.results) {
+            d.Add(res.dewey.ToString());
+            d.Add(std::string_view("\x02", 1));
+          }
+        }
+        AddStats(outcome.stats, &sums[c]);
+      }
+    }
+  }
+  ASSERT_EQ(queries, 200u);
+
+  // RefineStats order: partitions_visited, partitions_pruned, slca_calls,
+  // dp_calls, random_accesses, nodes_popped, candidates_enumerated,
+  // candidates_pruned.
+  const PinnedRun expected[3] = {
+      {0xb6429d657a981de2ull, {5273, 3629, 6165, 1568, 0, 0, 9794, 3629}},
+      {0xb6429d657a981de2ull, {5273, 0, 9794, 1568, 0, 0, 9794, 0}},
+      {0x1e5302f4145d895cull, {3641, 0, 994, 4018, 14368, 0, 7278, 2959}},
+  };
+  for (size_t c = 0; c < 3; ++c) {
+    SCOPED_TRACE(configs[c].name);
+    EXPECT_EQ(digests[c].value(), expected[c].digest)
+        << "digest 0x" << std::hex << digests[c].value();
+    EXPECT_EQ(StatsString(sums[c]), StatsString(expected[c].stats));
+  }
+}
 
 }  // namespace
 }  // namespace xrefine::core

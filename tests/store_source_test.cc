@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -218,7 +219,8 @@ TEST(StoreSourceTest, DecodeRejectsHostilePostingCount) {
   hostile.push_back(0x0f);
   hostile += record.substr(1);
   FlatPostingList decoded;
-  auto st = DecodePostingsFlat(hostile, &decoded);
+  auto st = DecodePostingsFlat(hostile, corpus.index->types().size(),
+                                &decoded);
   EXPECT_FALSE(st.ok());
   EXPECT_TRUE(st.IsCorruption()) << st;
 }
@@ -589,6 +591,97 @@ TEST(StoreSourceTest, LazyVocabularyServesQueriesIdentically) {
   for (size_t i = 0; i < lazy_results.value().size(); ++i) {
     EXPECT_EQ(lazy_results.value()[i].dewey, eager_results.value()[i].dewey);
   }
+}
+
+// --- stores the query path must refuse or survive ---------------------------
+//
+// One regression per decode check the query path relies on, over the bad
+// stores of testutil::WriteBadStore (also committed as store_open fuzz
+// seeds). Before the checks, a query over each crashed or spun.
+
+using testutil::BadStore;
+
+std::unique_ptr<storage::KVStore> BadStoreOf(BadStore kind) {
+  auto store_or = storage::KVStore::Open("");
+  EXPECT_TRUE(store_or.ok());
+  auto store = std::move(store_or).value();
+  EXPECT_TRUE(testutil::WriteBadStore(kind, store.get()).ok());
+  return store;
+}
+
+// Runs Partition over {x, y} through a store-backed source, under a 1-s
+// deadline.
+core::RefineOutcome QueryXY(const StoreBackedIndexSource& source) {
+  auto lexicon = text::Lexicon::BuiltIn();
+  core::XRefine engine(&source, &lexicon);
+  core::RefineControl control;
+  control.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  return engine.Run({"x", "y"}, &control);
+}
+
+TEST(StoreSourceBadStoreTest, BaseCorpusHasTheDocumentedShape) {
+  auto corpus = MakeCorpus("<x><y><z>x y</z></y></x>");
+  EXPECT_EQ(corpus.index->types().size(), 3u);
+  EXPECT_EQ(corpus.index->types().path(2), "x/y/z");
+  EXPECT_EQ(corpus.index->index().Vocabulary(),
+            (std::vector<std::string>{"x", "y", "z"}));
+}
+
+TEST(StoreSourceBadStoreTest, Uint32MaxLabelIsServed) {
+  auto store = BadStoreOf(BadStore::kUint32MaxLabel);
+  ASSERT_TRUE(LoadCorpus(*store).ok());
+  auto source_or = StoreBackedIndexSource::Open(store.get());
+  ASSERT_TRUE(source_or.ok()) << source_or.status();
+  core::RefineOutcome outcome = QueryXY(*source_or.value());
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status;
+  ASSERT_FALSE(outcome.refined.empty());
+  EXPECT_EQ(testutil::DeweyStrings(outcome.refined[0].results),
+            std::vector<std::string>{"0.4294967295.0"});
+}
+
+TEST(StoreSourceBadStoreTest, PostingTypeIdOutOfRangeIsCorruption) {
+  auto store = BadStoreOf(BadStore::kPostingTypeOutOfRange);
+  auto loaded = LoadCorpus(*store);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find(
+                "postings: type id 3 out of range (3 types)"),
+            std::string::npos)
+      << loaded.status();
+  auto source_or = StoreBackedIndexSource::Open(store.get());
+  ASSERT_TRUE(source_or.ok()) << source_or.status();
+  core::RefineOutcome outcome = QueryXY(*source_or.value());
+  EXPECT_TRUE(outcome.status.IsCorruption()) << outcome.status;
+}
+
+TEST(StoreSourceBadStoreTest, FreqRowTypeIdOutOfRangeIsCorruption) {
+  auto store = BadStoreOf(BadStore::kFreqRowTypeOutOfRange);
+  auto loaded = LoadCorpus(*store);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find(
+                "freq row: type id 3 out of range (3 types)"),
+            std::string::npos)
+      << loaded.status();
+  // The store-backed source reads every freq row at open, so it refuses
+  // the store before any query can reach the row.
+  auto source_or = StoreBackedIndexSource::Open(store.get());
+  ASSERT_FALSE(source_or.ok());
+  EXPECT_TRUE(source_or.status().IsCorruption()) << source_or.status();
+}
+
+TEST(StoreSourceBadStoreTest, EmptyLabelIsCorruption) {
+  auto store = BadStoreOf(BadStore::kEmptyLabel);
+  auto loaded = LoadCorpus(*store);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("postings: empty label"),
+            std::string::npos)
+      << loaded.status();
+  auto source_or = StoreBackedIndexSource::Open(store.get());
+  ASSERT_TRUE(source_or.ok()) << source_or.status();
+  core::RefineOutcome outcome = QueryXY(*source_or.value());
+  EXPECT_TRUE(outcome.status.IsCorruption()) << outcome.status;
 }
 
 }  // namespace

@@ -22,6 +22,10 @@ using xrefine::fuzz::ByteReader;
 // follows them.
 constexpr size_t kReservedPrefixBytes = 8;
 
+// The seeds' lists use type ids 0..6 (make_seeds' SamplePostings); a
+// mutated id beyond them exercises the decoder's type-range check.
+constexpr size_t kSeedTypeCount = 7;
+
 void Require(bool cond, const char* what) {
   if (!cond) {
     std::fprintf(stderr, "posting-decode invariant violated: %s\n", what);
@@ -37,7 +41,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string_view record = in.Rest();
 
   xrefine::index::FlatPostingList flat;
-  if (!xrefine::index::DecodePostingsFlat(record, &flat).ok()) return 0;
+  if (!xrefine::index::DecodePostingsFlat(record, kSeedTypeCount, &flat)
+           .ok()) {
+    return 0;
+  }
 
   uint32_t declared = 0;
   Require(xrefine::index::DecodePostingCount(record, &declared).ok(),

@@ -3,10 +3,16 @@
 // (node types, statistics, co-occurrence cache), LoadCorpus over every
 // stored posting record, and StoreBackedIndexSource::Open with its
 // header-only vocabulary scan and lazy FetchList — every layer must either
-// reject the image with a clean Status or serve it without crashing. This
-// is the closest harness to "an attacker hands the engine a database file".
+// reject the image with a clean Status or serve it without crashing. A
+// store that opens then answers one Partition query over its first two
+// vocabulary keywords under a 1-s deadline: any status is a clean answer
+// except DeadlineExceeded, which on stores this small means the scan
+// stopped terminating, and aborts. This is the closest harness to "an
+// attacker hands the engine a database file".
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -14,12 +20,14 @@
 #include <string>
 #include <vector>
 
+#include "core/xrefine.h"
 #include "index/cooccurrence.h"
 #include "index/index_store.h"
 #include "index/statistics.h"
 #include "index/store_index_source.h"
 #include "storage/kvstore.h"
 #include "storage/pager.h"
+#include "text/lexicon.h"
 #include "tools/fuzz/fuzz_driver.h"
 #include "xml/node_type.h"
 
@@ -89,6 +97,22 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (const std::string& keyword : keywords) {
     (void)source->ListSize(keyword);
     (void)source->FetchList(keyword);
+  }
+
+  // One query end to end: rules, list fetch, the partition scan, ranking.
+  if (keywords.empty()) return 0;
+  static const xrefine::text::Lexicon lexicon =
+      xrefine::text::Lexicon::BuiltIn();
+  xrefine::core::XRefine engine(source.get(), &lexicon);
+  const size_t terms = std::min<size_t>(2, keywords.size());
+  xrefine::core::Query q(keywords.begin(), keywords.begin() + terms);
+  xrefine::core::RefineControl control;
+  control.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  const xrefine::core::RefineOutcome outcome = engine.Run(q, &control);
+  if (outcome.status.code() == xrefine::StatusCode::kDeadlineExceeded) {
+    std::fprintf(stderr, "store-open: query over a tiny store hit its 1-s "
+                         "deadline (the scan stopped terminating)\n");
+    std::abort();
   }
   return 0;
 }

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "index/flat_postings.h"
@@ -60,16 +61,12 @@ xrefine::index::FlatPostingList SamplePostings() {
   return list;
 }
 
-// A store file holding the Figure 1 corpus, as raw bytes.
-std::string Figure1StoreImage(const fs::path& scratch) {
-  auto corpus = xrefine::testutil::MakeFigure1Corpus();
+// The raw bytes of a store file that `fill` wrote ({} when it failed).
+template <typename Fill>
+std::string StoreImage(const fs::path& scratch, Fill fill) {
   {
     auto store_or = xrefine::storage::KVStore::Open(scratch.string());
-    if (!store_or.ok()) return {};
-    if (!xrefine::index::SaveCorpus(*corpus.index, store_or.value().get())
-             .ok()) {
-      return {};
-    }
+    if (!store_or.ok() || !fill(store_or.value().get()).ok()) return {};
   }
   std::ifstream in(scratch, std::ios::binary);
   std::string image((std::istreambuf_iterator<char>(in)),
@@ -77,6 +74,22 @@ std::string Figure1StoreImage(const fs::path& scratch) {
   std::error_code ec;
   fs::remove(scratch, ec);
   return image;
+}
+
+// A store file holding the Figure 1 corpus, as raw bytes.
+std::string Figure1StoreImage(const fs::path& scratch) {
+  auto corpus = xrefine::testutil::MakeFigure1Corpus();
+  return StoreImage(scratch, [&](xrefine::storage::KVStore* store) {
+    return xrefine::index::SaveCorpus(*corpus.index, store);
+  });
+}
+
+// One of testutil::WriteBadStore's stores, as raw bytes.
+std::string BadStoreImage(const fs::path& scratch,
+                          xrefine::testutil::BadStore kind) {
+  return StoreImage(scratch, [&](xrefine::storage::KVStore* store) {
+    return xrefine::testutil::WriteBadStore(kind, store);
+  });
 }
 
 }  // namespace
@@ -141,6 +154,19 @@ int main(int argc, char** argv) {
     ok &= !image.empty() && WriteSeed(dir, "figure1_store", image);
     std::string truncated = image.substr(0, image.size() / 2);
     ok &= WriteSeed(dir, "figure1_truncated", truncated);
+    // Stores one record away from valid that once crashed or hung the
+    // query the harness runs (see the corpus README).
+    using xrefine::testutil::BadStore;
+    const std::pair<const char*, BadStore> bad_stores[] = {
+        {"uint32_max_label", BadStore::kUint32MaxLabel},
+        {"posting_type_out_of_range", BadStore::kPostingTypeOutOfRange},
+        {"freq_row_type_out_of_range", BadStore::kFreqRowTypeOutOfRange},
+        {"empty_label", BadStore::kEmptyLabel},
+    };
+    for (const auto& [name, kind] : bad_stores) {
+      std::string bad = BadStoreImage(root / "store_open.scratch", kind);
+      ok &= !bad.empty() && WriteSeed(dir, name, bad);
+    }
   }
 
   // --- xml: mode byte + document text -----------------------------------
