@@ -56,13 +56,16 @@ void SlcaComparison() {
     }
     if (!ok) continue;
     double stack = TimeMs([&] {
-      slca::StackSlca(lists, env.corpus->types());
+      slca::ComputeSlca(lists, env.corpus->types(),
+                       slca::SlcaAlgorithm::kStack);
     }, 5);
     double scan = TimeMs([&] {
-      slca::ScanEagerSlca(lists, env.corpus->types());
+      slca::ComputeSlca(lists, env.corpus->types(),
+                       slca::SlcaAlgorithm::kScanEager);
     }, 5);
     double ilookup = TimeMs([&] {
-      slca::IndexedLookupEagerSlca(lists, env.corpus->types());
+      slca::ComputeSlca(lists, env.corpus->types(),
+                       slca::SlcaAlgorithm::kIndexedLookup);
     }, 5);
     double elca = TimeMs([&] {
       slca::Elca(lists, env.corpus->types());

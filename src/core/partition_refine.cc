@@ -27,12 +27,15 @@ std::vector<Candidate> TopCandidates(const RefineInput& input,
                                      const KeywordBits& witnessed,
                                      size_t budget) {
   const size_t m = input.keywords.size();
-  KeywordSet t;
+  KeywordSet t(m);
   for (size_t i = 0; i < m; ++i) {
     if (witnessed.Test(i)) t.insert(input.keywords[i]);
   }
+  std::vector<RefinedQuery> rqs =
+      GetTopOptimalRqs(input.q, t, input.rules, budget);
   std::vector<Candidate> out;
-  for (RefinedQuery& rq : GetTopOptimalRqs(input.q, t, input.rules, budget)) {
+  out.reserve(rqs.size());
+  for (RefinedQuery& rq : rqs) {
     Candidate c{std::move(rq), KeywordBits(m), {}};
     c.ids.reserve(c.rq.keywords.size());
     for (const std::string& k : c.rq.keywords) {
@@ -65,6 +68,8 @@ RefineOutcome PartitionRefine(const index::IndexSource& corpus,
   std::vector<size_t> cursors(m, 0);
   std::vector<slca::PostingSpan> partition_spans(m);
   std::vector<slca::PostingSpan> rq_spans;
+  slca::SlcaScratch slca_scratch;
+  std::vector<slca::SlcaResult> results;
   KeywordBits witnessed(m);
   while (true) {
     // Deadline/cancel poll at partition granularity: one clock read per
@@ -116,28 +121,35 @@ RefineOutcome PartitionRefine(const index::IndexSource& corpus,
                  .first;
     }
 
+    size_t pruned_here = 0;
     for (const Candidate& c : memo->second) {
       ++stats.candidates_enumerated;
-      if (options.prune_partitions && !rq_list.Contains(c.key) &&
+      RqSortedList::Entry* entry = rq_list.Find(c.key);
+      if (options.prune_partitions && entry == nullptr &&
           !rq_list.CanAccept(c.rq.dissimilarity)) {
-        ++stats.partitions_pruned;
-        ++stats.candidates_pruned;
+        ++pruned_here;
         continue;  // cannot enter the top-2K: skip its SLCA work
       }
-      // SLCA of RQ within this partition (line 16), with any baseline.
+      // Meaningful SLCA of RQ within this partition (line 16), with any
+      // baseline.
       rq_spans.clear();
       for (size_t id : c.ids) rq_spans.push_back(partition_spans[id]);
       ++stats.slca_calls;
-      std::vector<slca::SlcaResult> results = slca::ComputeSlca(
-          rq_spans, corpus.types(), options.slca_algorithm);
-      results = slca::FilterMeaningful(std::move(results), input.search_for,
-                                       corpus.types());
+      results.clear();
+      slca::ComputeSlca(rq_spans, corpus.types(), options.slca_algorithm,
+                        &input.search_for, &slca_scratch, &results);
       if (results.empty()) continue;  // no meaningful match here
-      if (RqSortedList::Entry* entry = rq_list.InsertOrFind(c.rq, c.key)) {
+      if (entry == nullptr) entry = rq_list.Insert(c.rq, c.key);
+      if (entry != nullptr) {
         entry->results.insert(entry->results.end(),
                               std::make_move_iterator(results.begin()),
                               std::make_move_iterator(results.end()));
       }
+    }
+    stats.candidates_pruned += pruned_here;
+    // A partition is pruned when every candidate it had was.
+    if (pruned_here > 0 && pruned_here == memo->second.size()) {
+      ++stats.partitions_pruned;
     }
   }
 

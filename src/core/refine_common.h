@@ -103,7 +103,7 @@ RefineInput PrepareRefineInput(const index::IndexSource& corpus,
 /// Instrumentation counters surfaced by the benchmark harnesses.
 struct RefineStats {
   size_t partitions_visited = 0;
-  size_t partitions_pruned = 0;  // partitions whose SLCA work was skipped
+  size_t partitions_pruned = 0;  // partitions with every candidate pruned
   size_t slca_calls = 0;
   size_t dp_calls = 0;
   size_t random_accesses = 0;  // binary searches into other lists (SLE)

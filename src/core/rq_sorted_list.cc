@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/logging.h"
+
 namespace xrefine::core {
 
 double RqSortedList::AdmissionThreshold() const {
@@ -15,16 +17,16 @@ bool RqSortedList::CanAccept(double dissimilarity) const {
   return dissimilarity <= AdmissionThreshold();
 }
 
-bool RqSortedList::Contains(const KeywordBits& key) const {
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const Entry& e) { return e.key == key; });
-}
-
-RqSortedList::Entry* RqSortedList::InsertOrFind(const RefinedQuery& rq,
-                                                const KeywordBits& key) {
+RqSortedList::Entry* RqSortedList::Find(const KeywordBits& key) {
   for (Entry& e : entries_) {
     if (e.key == key) return &e;
   }
+  return nullptr;
+}
+
+RqSortedList::Entry* RqSortedList::Insert(const RefinedQuery& rq,
+                                          const KeywordBits& key) {
+  XR_DCHECK(Find(key) == nullptr);
   if (!CanAccept(rq.dissimilarity)) return nullptr;
   // Insert sorted by dissimilarity.
   auto pos = std::upper_bound(

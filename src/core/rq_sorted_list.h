@@ -26,7 +26,15 @@ class KeywordBits {
   }
   void Clear() { words_.assign(words_.size(), 0); }
 
-  bool operator==(const KeywordBits& other) const = default;
+  // Word by word: a set of at most 64 keywords is one compare, not a
+  // vector comparison's out-of-line memcmp.
+  bool operator==(const KeywordBits& other) const {
+    if (words_.size() != other.words_.size()) return false;
+    for (size_t i = 0; i < words_.size(); ++i) {
+      if (words_[i] != other.words_[i]) return false;
+    }
+    return true;
+  }
 
   struct Hash {
     size_t operator()(const KeywordBits& bits) const {
@@ -63,14 +71,15 @@ class RqSortedList {
   /// is in) the list.
   bool CanAccept(double dissimilarity) const;
 
-  /// True when the keyword set `key` has an entry.
-  bool Contains(const KeywordBits& key) const;
+  /// The entry of the keyword set `key`, or nullptr when it has none. The
+  /// pointer stays valid until the next Insert.
+  Entry* Find(const KeywordBits& key);
 
-  /// The entry for `rq`, whose keyword set is `key`: the existing one, or a
-  /// new one inserted by dissimilarity (evicting the worst when over
-  /// capacity). Returns nullptr iff the candidate was rejected. The caller
-  /// appends SLCA results to the returned entry.
-  Entry* InsertOrFind(const RefinedQuery& rq, const KeywordBits& key);
+  /// Inserts `rq`, whose keyword set `key` has no entry yet, by
+  /// dissimilarity (evicting the worst when over capacity). Returns the new
+  /// entry, or nullptr iff the candidate was rejected. The caller appends
+  /// SLCA results to the returned entry.
+  Entry* Insert(const RefinedQuery& rq, const KeywordBits& key);
 
   /// Entries by ascending dissimilarity.
   const std::vector<Entry>& entries() const { return entries_; }

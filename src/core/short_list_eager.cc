@@ -103,7 +103,9 @@ RefineOutcome ShortListEagerRefine(const index::IndexSource& corpus,
           input.q, witnessed, input.rules, candidate_budget);
       stats.candidates_enumerated += candidates.size();
       for (const RefinedQuery& rq : candidates) {
-        if (rq_list.InsertOrFind(rq, KeyOf(input, rq.keywords)) == nullptr) {
+        const KeywordBits key = KeyOf(input, rq.keywords);
+        if (rq_list.Find(key) == nullptr &&
+            rq_list.Insert(rq, key) == nullptr) {
           ++stats.candidates_pruned;
         }
       }
@@ -116,9 +118,11 @@ RefineOutcome ShortListEagerRefine(const index::IndexSource& corpus,
   // any existing method over the full lists.
   std::vector<std::pair<RefinedQuery, std::vector<slca::SlcaResult>>>
       candidates;
+  std::vector<slca::PostingSpan> spans;
+  slca::SlcaScratch slca_scratch;
+  std::vector<slca::SlcaResult> results;
   for (const auto& entry : rq_list.entries()) {
-    std::vector<slca::PostingSpan> spans;
-    spans.reserve(entry.rq.keywords.size());
+    spans.clear();
     bool ok = true;
     for (const std::string& k : entry.rq.keywords) {
       const slca::PostingSpan* span = input.SpanFor(k);
@@ -130,10 +134,9 @@ RefineOutcome ShortListEagerRefine(const index::IndexSource& corpus,
     }
     if (!ok) continue;
     ++stats.slca_calls;
-    std::vector<slca::SlcaResult> results =
-        slca::ComputeSlca(spans, corpus.types(), options.slca_algorithm);
-    results = slca::FilterMeaningful(std::move(results), input.search_for,
-                                     corpus.types());
+    results.clear();
+    slca::ComputeSlca(spans, corpus.types(), options.slca_algorithm,
+                      &input.search_for, &slca_scratch, &results);
     if (results.empty()) continue;
     candidates.emplace_back(entry.rq, std::move(results));
   }

@@ -57,7 +57,15 @@ RefineOutcome StackRefine(const index::IndexSource& corpus,
   std::vector<std::pair<RefinedQuery, std::vector<slca::SlcaResult>>>
       candidate_list;
 
-  if (m == 0 || m > 64) {
+  if (m > kMaxStackRefineKeywords) {
+    RefineOutcome refused;
+    refused.status = Status::InvalidArgument(
+        "stack-refine supports at most " +
+        std::to_string(kMaxStackRefineKeywords) +
+        " keywords in KS; this query has " + std::to_string(m));
+    return refused;
+  }
+  if (m == 0) {
     return FinalizeOutcome(corpus, input.q, input.search_for,
                            std::move(candidate_list), options.top_k,
                            options.ranking, stats);

@@ -11,6 +11,11 @@
 
 namespace xrefine::core {
 
+/// Stack entries carry KS's witnessed keywords as one 64-bit mask, so
+/// stack-refine answers queries whose KS has at most this many keywords;
+/// a larger KS is refused with InvalidArgument.
+inline constexpr size_t kMaxStackRefineKeywords = 64;
+
 struct StackRefineOptions {
   size_t top_k = 3;
   RankingOptions ranking;

@@ -4,11 +4,14 @@
 
 namespace xrefine::slca {
 
-std::vector<SlcaResult> IndexedLookupEagerSlca(
-    const std::vector<PostingSpan>& lists, const xml::NodeTypeTable& types) {
-  if (lists.empty()) return {};
+void IndexedLookupEagerSlca(const std::vector<PostingSpan>& lists,
+                            const xml::NodeTypeTable& types,
+                            const std::vector<TypeConfidence>* meaningful,
+                            SlcaScratch* scratch,
+                            std::vector<SlcaResult>* out) {
+  if (lists.empty()) return;
   for (const auto& span : lists) {
-    if (span.empty()) return {};
+    if (span.empty()) return;
   }
 
   // Anchor on the shortest list.
@@ -21,12 +24,13 @@ std::vector<SlcaResult> IndexedLookupEagerSlca(
   // current anchor label. Anchor labels arrive in document order, so the
   // hints only move right and each neighbour search can gallop from its
   // previous landing spot instead of binary-searching the whole list.
-  std::vector<size_t> hints(lists.size(), 0);
+  std::vector<size_t>& hints = scratch->cursors;
+  hints.assign(lists.size(), 0);
+  std::vector<PrefixCandidate>& kept = scratch->kept;
+  kept.clear();
 
   uint64_t scanned = 0;
   uint64_t searches = 0;
-  std::vector<PrefixCandidate> candidates;
-  candidates.reserve(lists[anchor].size);
   for (size_t a = 0; a < lists[anchor].size; ++a) {
     ++scanned;
     const xml::DeweyRef v = lists[anchor].label(a);
@@ -53,12 +57,14 @@ std::vector<SlcaResult> IndexedLookupEagerSlca(
       depth = std::min(depth, best);
     }
     if (depth == 0) continue;  // no common ancestor below "nothing"
-    candidates.push_back(PrefixCandidate{static_cast<uint32_t>(a),
-                                         static_cast<uint32_t>(depth)});
+    KeepSmallestPrefix(lists[anchor],
+                       PrefixCandidate{static_cast<uint32_t>(a),
+                                       static_cast<uint32_t>(depth)},
+                       &kept);
   }
   internal::Metrics().elements_scanned->Increment(scanned);
   internal::Metrics().lookups->Increment(searches);
-  return KeepSmallestPrefixes(lists[anchor], std::move(candidates), types);
+  AppendPrefixResults(lists[anchor], kept, types, meaningful, out);
 }
 
 }  // namespace xrefine::slca

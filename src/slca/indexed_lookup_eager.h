@@ -10,10 +10,15 @@
 
 namespace xrefine::slca {
 
-/// Computes SLCA(lists) over the given posting spans. An empty span makes
-/// the conjunctive result empty. `types` resolves result node types.
-std::vector<SlcaResult> IndexedLookupEagerSlca(
-    const std::vector<PostingSpan>& lists, const xml::NodeTypeTable& types);
+/// Appends SLCA(lists) over the given posting spans to `out`, in document
+/// order; with `meaningful` set, only the results meaningful under it
+/// (Definition 3.3). An empty span makes the conjunctive result empty.
+/// `types` resolves result node types; `scratch` holds the call's buffers.
+void IndexedLookupEagerSlca(const std::vector<PostingSpan>& lists,
+                            const xml::NodeTypeTable& types,
+                            const std::vector<TypeConfidence>* meaningful,
+                            SlcaScratch* scratch,
+                            std::vector<SlcaResult>* out);
 
 }  // namespace xrefine::slca
 

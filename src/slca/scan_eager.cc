@@ -4,11 +4,13 @@
 
 namespace xrefine::slca {
 
-std::vector<SlcaResult> ScanEagerSlca(const std::vector<PostingSpan>& lists,
-                                      const xml::NodeTypeTable& types) {
-  if (lists.empty()) return {};
+void ScanEagerSlca(const std::vector<PostingSpan>& lists,
+                   const xml::NodeTypeTable& types,
+                   const std::vector<TypeConfidence>* meaningful,
+                   SlcaScratch* scratch, std::vector<SlcaResult>* out) {
+  if (lists.empty()) return;
   for (const auto& span : lists) {
-    if (span.empty()) return {};
+    if (span.empty()) return;
   }
 
   size_t anchor = 0;
@@ -18,12 +20,13 @@ std::vector<SlcaResult> ScanEagerSlca(const std::vector<PostingSpan>& lists,
 
   // cursors[i]: first posting with label >= current anchor node; advances
   // monotonically because anchors arrive in document order.
-  std::vector<size_t> cursors(lists.size(), 0);
+  std::vector<size_t>& cursors = scratch->cursors;
+  cursors.assign(lists.size(), 0);
+  std::vector<PrefixCandidate>& kept = scratch->kept;
+  kept.clear();
 
   uint64_t scanned = 0;
   uint64_t probes = 0;
-  std::vector<PrefixCandidate> candidates;
-  candidates.reserve(lists[anchor].size);
   for (size_t a = 0; a < lists[anchor].size; ++a) {
     ++scanned;
     const xml::DeweyRef v = lists[anchor].label(a);
@@ -47,12 +50,14 @@ std::vector<SlcaResult> ScanEagerSlca(const std::vector<PostingSpan>& lists,
       depth = std::min(depth, best);
     }
     if (depth == 0) continue;
-    candidates.push_back(PrefixCandidate{static_cast<uint32_t>(a),
-                                         static_cast<uint32_t>(depth)});
+    KeepSmallestPrefix(lists[anchor],
+                       PrefixCandidate{static_cast<uint32_t>(a),
+                                       static_cast<uint32_t>(depth)},
+                       &kept);
   }
   internal::Metrics().elements_scanned->Increment(scanned);
   internal::Metrics().lookups->Increment(probes);
-  return KeepSmallestPrefixes(lists[anchor], std::move(candidates), types);
+  AppendPrefixResults(lists[anchor], kept, types, meaningful, out);
 }
 
 }  // namespace xrefine::slca

@@ -11,8 +11,11 @@
 
 namespace xrefine::slca {
 
-std::vector<SlcaResult> ScanEagerSlca(const std::vector<PostingSpan>& lists,
-                                      const xml::NodeTypeTable& types);
+/// Appends SLCA(lists) to `out`; the contract of IndexedLookupEagerSlca.
+void ScanEagerSlca(const std::vector<PostingSpan>& lists,
+                   const xml::NodeTypeTable& types,
+                   const std::vector<TypeConfidence>* meaningful,
+                   SlcaScratch* scratch, std::vector<SlcaResult>* out);
 
 }  // namespace xrefine::slca
 

@@ -62,11 +62,7 @@ std::vector<TypeConfidence> InferSearchForNodes(
 bool IsMeaningfulSlca(const SlcaResult& result,
                       const std::vector<TypeConfidence>& candidates,
                       const xml::NodeTypeTable& types) {
-  if (result.type == xml::kInvalidTypeId) return false;
-  for (const TypeConfidence& tc : candidates) {
-    if (types.IsAncestorOrSelfType(tc.type, result.type)) return true;
-  }
-  return false;
+  return IsMeaningfulType(result.type, candidates, types);
 }
 
 std::vector<SlcaResult> FilterMeaningful(

@@ -31,11 +31,6 @@ struct SearchForNodeOptions {
   bool exclude_root_type = true;
 };
 
-struct TypeConfidence {
-  xml::TypeId type = xml::kInvalidTypeId;
-  double confidence = 0.0;
-};
-
 /// Scores all types with nonzero evidence for `query`, descending by
 /// confidence.
 std::vector<TypeConfidence> RankSearchForNodes(

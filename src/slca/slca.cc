@@ -2,19 +2,28 @@
 
 namespace xrefine::slca {
 
-std::vector<SlcaResult> ComputeSlca(const std::vector<PostingSpan>& lists,
-                                    const xml::NodeTypeTable& types,
-                                    SlcaAlgorithm algorithm) {
+void ComputeSlca(const std::vector<PostingSpan>& lists,
+                 const xml::NodeTypeTable& types, SlcaAlgorithm algorithm,
+                 const std::vector<TypeConfidence>* meaningful,
+                 SlcaScratch* scratch, std::vector<SlcaResult>* out) {
   internal::Metrics().calls->Increment();
   switch (algorithm) {
     case SlcaAlgorithm::kStack:
-      return StackSlca(lists, types);
+      return StackSlca(lists, types, meaningful, scratch, out);
     case SlcaAlgorithm::kScanEager:
-      return ScanEagerSlca(lists, types);
+      return ScanEagerSlca(lists, types, meaningful, scratch, out);
     case SlcaAlgorithm::kIndexedLookup:
-      return IndexedLookupEagerSlca(lists, types);
+      return IndexedLookupEagerSlca(lists, types, meaningful, scratch, out);
   }
-  return {};
+}
+
+std::vector<SlcaResult> ComputeSlca(const std::vector<PostingSpan>& lists,
+                                    const xml::NodeTypeTable& types,
+                                    SlcaAlgorithm algorithm) {
+  SlcaScratch scratch;
+  std::vector<SlcaResult> out;
+  ComputeSlca(lists, types, algorithm, nullptr, &scratch, &out);
+  return out;
 }
 
 StatusOr<std::vector<SlcaResult>> ComputeSlcaForQuery(

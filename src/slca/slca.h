@@ -21,7 +21,17 @@ enum class SlcaAlgorithm {
   kIndexedLookup,  // binary-search matches (XKSearch ILE)
 };
 
-/// Dispatches to the chosen algorithm.
+/// Dispatches to the chosen algorithm, appending SLCA(lists) to `out` in
+/// document order — with `meaningful` set, only the results meaningful
+/// under it (Definition 3.3), tested before their labels are built. The
+/// call's buffers live in the caller's `scratch`, so a scan that reuses one
+/// scratch and one result vector allocates only for the labels it keeps.
+void ComputeSlca(const std::vector<PostingSpan>& lists,
+                 const xml::NodeTypeTable& types, SlcaAlgorithm algorithm,
+                 const std::vector<TypeConfidence>* meaningful,
+                 SlcaScratch* scratch, std::vector<SlcaResult>* out);
+
+/// One-shot form: every result, on a scratch of its own.
 std::vector<SlcaResult> ComputeSlca(const std::vector<PostingSpan>& lists,
                                     const xml::NodeTypeTable& types,
                                     SlcaAlgorithm algorithm);

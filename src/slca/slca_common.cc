@@ -111,9 +111,8 @@ std::vector<SlcaResult> KeepSmallest(std::vector<SlcaResult> candidates) {
   return out;
 }
 
-std::vector<SlcaResult> KeepSmallestPrefixes(
-    const PostingSpan& anchor, std::vector<PrefixCandidate> candidates,
-    const xml::NodeTypeTable& types) {
+void KeepSmallestPrefix(const PostingSpan& anchor, PrefixCandidate candidate,
+                        std::vector<PrefixCandidate>* kept) {
   auto label_of = [&](const PrefixCandidate& c) {
     return xml::DeweyRef(anchor.components + anchor.starts[c.index], c.depth);
   };
@@ -129,35 +128,45 @@ std::vector<SlcaResult> KeepSmallestPrefixes(
   //     an increasing antichain, so deeper entries cannot also be
   //     ancestors), push the new candidate;
   //   - divergent: push.
-  std::vector<PrefixCandidate> kept;
-  for (const PrefixCandidate& c : candidates) {
-    const xml::DeweyRef lc = label_of(c);
-    bool dominated = false;
-    while (!kept.empty()) {
-      const xml::DeweyRef lb = label_of(kept.back());
-      const size_t common = xml::CommonPrefixDepth(lb, lc);
-      if (common == lc.len) {
-        dominated = true;  // duplicate of, or ancestor of, the last kept
-        break;
-      }
-      if (common == lb.len) {
-        kept.pop_back();  // last kept is a strict ancestor: not smallest
-        continue;
-      }
-      break;  // divergent siblings
+  const xml::DeweyRef lc = label_of(candidate);
+  while (!kept->empty()) {
+    const xml::DeweyRef lb = label_of(kept->back());
+    const size_t common = xml::CommonPrefixDepth(lb, lc);
+    if (common == lc.len) return;  // duplicate of, or ancestor of, the last
+    if (common == lb.len) {
+      kept->pop_back();  // last kept is a strict ancestor: not smallest
+      continue;
     }
-    if (!dominated) kept.push_back(c);
+    break;  // divergent siblings
   }
-  // Only the survivors are materialised; dominated candidates never touch
-  // the heap.
-  std::vector<SlcaResult> out;
-  out.reserve(kept.size());
+  kept->push_back(candidate);
+}
+
+void AppendPrefixResults(const PostingSpan& anchor,
+                         const std::vector<PrefixCandidate>& kept,
+                         const xml::NodeTypeTable& types,
+                         const std::vector<TypeConfidence>* meaningful,
+                         std::vector<SlcaResult>* out) {
   for (const PrefixCandidate& c : kept) {
-    out.push_back(SlcaResult{
-        label_of(c).ToDewey(),
-        AncestorTypeAtDepth(types, anchor.type(c.index), c.depth)});
+    const xml::TypeId type =
+        AncestorTypeAtDepth(types, anchor.type(c.index), c.depth);
+    if (meaningful != nullptr && !IsMeaningfulType(type, *meaningful, types)) {
+      continue;
+    }
+    const uint32_t* label = anchor.components + anchor.starts[c.index];
+    out->push_back(SlcaResult{
+        xml::Dewey(std::vector<uint32_t>(label, label + c.depth)), type});
   }
-  return out;
+}
+
+bool IsMeaningfulType(xml::TypeId type,
+                      const std::vector<TypeConfidence>& candidates,
+                      const xml::NodeTypeTable& types) {
+  if (type == xml::kInvalidTypeId) return false;
+  for (const TypeConfidence& tc : candidates) {
+    if (types.IsAncestorOrSelfType(tc.type, type)) return true;
+  }
+  return false;
 }
 
 xml::TypeId AncestorTypeAtDepth(const xml::NodeTypeTable& types,

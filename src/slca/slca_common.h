@@ -77,6 +77,19 @@ struct SlcaResult {
   }
 };
 
+/// A candidate search-for node type with its confidence C_for (Formula 1;
+/// search_for_node.h infers the candidate list L).
+struct TypeConfidence {
+  xml::TypeId type = xml::kInvalidTypeId;
+  double confidence = 0.0;
+};
+
+/// Definition 3.3 on a result's type: a node of type `type` is meaningful
+/// iff some type in `candidates` is its ancestor-or-self type.
+bool IsMeaningfulType(xml::TypeId type,
+                      const std::vector<TypeConfidence>& candidates,
+                      const xml::NodeTypeTable& types);
+
 /// Index of the rightmost posting with label <= v ("left match"); -1 when
 /// none exists.
 ptrdiff_t LeftMatch(const PostingSpan& span, const xml::DeweyRef& v);
@@ -126,16 +139,49 @@ struct PrefixCandidate {
   uint32_t depth;  // candidate label depth (>= 1)
 };
 
-/// The smallest-filter over prefix candidates: dedupe, drop every node with
-/// a proper descendant in the set, then materialise the survivors (label +
-/// witness-derived type). `anchor` must be the span the candidates index
-/// into, and candidates must arrive in anchor order (i.e. `index` values
-/// non-decreasing) — the order the eager algorithms naturally emit. That
-/// ordering lets the filter run online in O(n) with no sort and no label
-/// materialisation for dominated candidates.
-std::vector<SlcaResult> KeepSmallestPrefixes(
-    const PostingSpan& anchor, std::vector<PrefixCandidate> candidates,
-    const xml::NodeTypeTable& types);
+namespace internal {
+
+/// One open node of the stack kernel's document-order walk. Its keyword
+/// mask is the entry's ⌈m/64⌉ words of SlcaScratch::masks.
+struct StackEntry {
+  uint32_t component;
+  bool slca_below = false;  // an SLCA was emitted in this subtree
+  xml::TypeId witness = xml::kInvalidTypeId;
+};
+
+}  // namespace internal
+
+/// Caller-owned working memory of the SLCA kernels. A kernel call resizes
+/// what it uses and leaves the capacity behind, so a caller that routes
+/// many calls through one scratch — Partition and SLE hold one per query —
+/// allocates only for the result labels the calls append. Any algorithm
+/// and any list count may follow any other on the same scratch; one
+/// scratch serves one thread.
+struct SlcaScratch {
+  std::vector<size_t> cursors;        // per list: eager hints, merge heads
+  std::vector<PrefixCandidate> kept;  // eager: the smallest-filter's stack
+  std::vector<internal::StackEntry> stack;  // stack kernel: the open path
+  std::vector<uint64_t> masks;              // stack kernel: per entry
+};
+
+/// The smallest-filter over prefix candidates, one candidate at a time:
+/// dedupe and drop every node with a proper descendant among the
+/// candidates. `kept` holds the survivors so far. `anchor` must be the span
+/// the candidates index into, and candidates must arrive in anchor order
+/// (i.e. `index` values non-decreasing) — the order the eager algorithms
+/// naturally emit. That ordering lets the filter run online in O(n) with no
+/// sort and no label materialisation for dominated candidates.
+void KeepSmallestPrefix(const PostingSpan& anchor, PrefixCandidate candidate,
+                        std::vector<PrefixCandidate>* kept);
+
+/// Materialises the smallest-filter's survivors (label + witness-derived
+/// type) onto `out`, in order. With `meaningful` set, a survivor whose type
+/// is not meaningful under it is dropped before its label is built.
+void AppendPrefixResults(const PostingSpan& anchor,
+                         const std::vector<PrefixCandidate>& kept,
+                         const xml::NodeTypeTable& types,
+                         const std::vector<TypeConfidence>* meaningful,
+                         std::vector<SlcaResult>* out);
 
 /// Derives the node type of an ancestor at `depth` from a witness
 /// descendant's type.

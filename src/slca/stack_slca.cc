@@ -8,18 +8,15 @@ namespace xrefine::slca {
 
 namespace {
 
-struct Entry {
-  uint32_t component;
-  uint64_t mask = 0;
-  bool slca_below = false;
-  xml::TypeId witness = xml::kInvalidTypeId;
-};
-
-// Document-order merge over the posting spans.
+// Document-order merge over the posting spans, with its per-list heads in
+// caller-owned storage.
 class MergedStream {
  public:
-  explicit MergedStream(const std::vector<PostingSpan>& lists)
-      : lists_(lists), cursors_(lists.size(), 0) {}
+  MergedStream(const std::vector<PostingSpan>& lists,
+               std::vector<size_t>* cursors)
+      : lists_(lists), cursors_(*cursors) {
+    cursors_.assign(lists.size(), 0);
+  }
 
   // Returns the list index of the smallest head (advancing its cursor and
   // storing the popped posting's index in *pos), or -1 when exhausted.
@@ -41,49 +38,68 @@ class MergedStream {
 
  private:
   const std::vector<PostingSpan>& lists_;
-  std::vector<size_t> cursors_;
+  std::vector<size_t>& cursors_;
 };
 
 }  // namespace
 
-std::vector<SlcaResult> StackSlca(const std::vector<PostingSpan>& lists,
-                                  const xml::NodeTypeTable& types) {
-  if (lists.empty() || lists.size() > kMaxStackKeywords) return {};
+void StackSlca(const std::vector<PostingSpan>& lists,
+               const xml::NodeTypeTable& types,
+               const std::vector<TypeConfidence>* meaningful,
+               SlcaScratch* scratch, std::vector<SlcaResult>* out) {
+  if (lists.empty()) return;
   for (const auto& span : lists) {
-    if (span.empty()) return {};
+    if (span.empty()) return;
   }
-  const uint64_t full_mask = (lists.size() == 64)
-                                 ? ~uint64_t{0}
-                                 : ((uint64_t{1} << lists.size()) - 1);
+  // Entry e's mask is masks[e * words, (e + 1) * words); every word but the
+  // last is full when all lists are witnessed.
+  const size_t words = (lists.size() + 63) / 64;
+  const uint64_t last_full =
+      ~uint64_t{0} >> (words * 64 - lists.size());
+  std::vector<internal::StackEntry>& stack = scratch->stack;
+  std::vector<uint64_t>& masks = scratch->masks;
+  stack.clear();
+  masks.clear();
+  const size_t first_result = out->size();
 
-  std::vector<Entry> stack;
-  std::vector<SlcaResult> results;
+  auto full = [&](const uint64_t* mask) {
+    for (size_t w = 0; w + 1 < words; ++w) {
+      if (mask[w] != ~uint64_t{0}) return false;
+    }
+    return mask[words - 1] == last_full;
+  };
 
   // Pops the top entry, possibly emitting it, and folds its state into the
   // new top.
   auto pop = [&]() {
-    Entry e = stack.back();
-    stack.pop_back();
-    if (e.mask == full_mask && !e.slca_below) {
-      std::vector<uint32_t> components;
-      components.reserve(stack.size() + 1);
-      for (const Entry& se : stack) components.push_back(se.component);
-      components.push_back(e.component);
-      size_t depth = components.size();
-      results.push_back(
-          SlcaResult{xml::Dewey(std::move(components)),
-                     AncestorTypeAtDepth(types, e.witness, depth)});
+    const size_t top = stack.size() - 1;
+    internal::StackEntry& e = stack[top];
+    const uint64_t* mask = masks.data() + top * words;
+    if (full(mask) && !e.slca_below) {
+      const size_t depth = stack.size();
+      const xml::TypeId type = AncestorTypeAtDepth(types, e.witness, depth);
+      if (meaningful == nullptr || IsMeaningfulType(type, *meaningful, types)) {
+        std::vector<uint32_t> components;
+        components.reserve(depth);
+        for (const internal::StackEntry& se : stack) {
+          components.push_back(se.component);
+        }
+        out->push_back(SlcaResult{xml::Dewey(std::move(components)), type});
+      }
       e.slca_below = true;
     }
-    if (!stack.empty()) {
-      Entry& parent = stack.back();
-      parent.mask |= e.mask;
+    if (top > 0) {
+      internal::StackEntry& parent = stack[top - 1];
+      uint64_t* parent_mask = masks.data() + (top - 1) * words;
+      for (size_t w = 0; w < words; ++w) parent_mask[w] |= mask[w];
       parent.slca_below |= e.slca_below;
       if (parent.witness == xml::kInvalidTypeId) parent.witness = e.witness;
     }
+    stack.pop_back();
+    masks.resize(top * words);
   };
 
-  MergedStream stream(lists);
+  MergedStream stream(lists, &scratch->cursors);
   uint64_t scanned = 0;
   size_t pos = 0;
   int list_index;
@@ -103,10 +119,12 @@ std::vector<SlcaResult> StackSlca(const std::vector<PostingSpan>& lists,
     }
     while (stack.size() > p) pop();
     for (size_t i = p; i < label.depth(); ++i) {
-      stack.push_back(Entry{label[i]});
+      stack.push_back(internal::StackEntry{label[i]});
     }
+    masks.resize(stack.size() * words, 0);
     XR_DCHECK(!stack.empty());
-    stack.back().mask |= uint64_t{1} << list_index;
+    const size_t bit = static_cast<size_t>(list_index);
+    masks[(stack.size() - 1) * words + bit / 64] |= uint64_t{1} << (bit % 64);
     if (stack.back().witness == xml::kInvalidTypeId) {
       stack.back().witness = lists[static_cast<size_t>(list_index)].type(pos);
     }
@@ -114,11 +132,10 @@ std::vector<SlcaResult> StackSlca(const std::vector<PostingSpan>& lists,
   while (!stack.empty()) pop();
   internal::Metrics().elements_scanned->Increment(scanned);
 
-  std::sort(results.begin(), results.end(),
+  std::sort(out->begin() + static_cast<ptrdiff_t>(first_result), out->end(),
             [](const SlcaResult& a, const SlcaResult& b) {
               return a.dewey < b.dewey;
             });
-  return results;
 }
 
 }  // namespace xrefine::slca

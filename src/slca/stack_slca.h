@@ -1,8 +1,9 @@
 // Stack-based SLCA over the document-order merge of the keyword inverted
 // lists (XKSearch's stack algorithm, the basis of the paper's Algorithm 1).
-// Each stack entry is one Dewey component; entries accumulate a bitmask of
-// the keywords witnessed in their subtree and a flag marking that an SLCA
-// was already emitted below (so no ancestor is emitted).
+// Each stack entry is one Dewey component; entries accumulate a mask of the
+// keyword lists witnessed in their subtree (⌈m/64⌉ words for m lists) and a
+// flag marking that an SLCA was already emitted below (so no ancestor is
+// emitted).
 #ifndef XREFINE_SLCA_STACK_SLCA_H_
 #define XREFINE_SLCA_STACK_SLCA_H_
 
@@ -12,11 +13,11 @@
 
 namespace xrefine::slca {
 
-/// Supports up to 64 keyword lists (bitmask width).
-inline constexpr size_t kMaxStackKeywords = 64;
-
-std::vector<SlcaResult> StackSlca(const std::vector<PostingSpan>& lists,
-                                  const xml::NodeTypeTable& types);
+/// Appends SLCA(lists) to `out`; the contract of IndexedLookupEagerSlca.
+void StackSlca(const std::vector<PostingSpan>& lists,
+               const xml::NodeTypeTable& types,
+               const std::vector<TypeConfidence>* meaningful,
+               SlcaScratch* scratch, std::vector<SlcaResult>* out);
 
 }  // namespace xrefine::slca
 

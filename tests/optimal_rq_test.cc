@@ -2,6 +2,13 @@
 // reproduction of the paper's Example 3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "common/random.h"
 #include "core/optimal_rq.h"
 
 namespace xrefine::core {
@@ -197,6 +204,234 @@ TEST(TopOptimalRqTest, RespectsK) {
   KeywordSet t = {"a", "b", "c"};
   auto top = GetTopOptimalRqs({"a", "b", "c"}, t, rules, 2);
   EXPECT_EQ(top.size(), 2u);
+}
+
+// --- the string DP as the reference --------------------------------------
+//
+// GetTopOptimalRqs before its rewrite onto back-pointers over word ids: each
+// beam state carries its keywords and applied_ops strings, and the beam is
+// deduplicated by QueryKey. The rewrite must return exactly what this does:
+// the same keywords in the same order, bit-identical dissimilarities and
+// the same applied_ops.
+
+struct RefCandidate {
+  double dsim = 0.0;
+  Query keywords;
+  std::vector<std::string> ops;
+};
+
+void RefAppendKeywordUnique(Query* keywords, const std::string& k) {
+  if (std::find(keywords->begin(), keywords->end(), k) == keywords->end()) {
+    keywords->push_back(k);
+  }
+}
+
+void RefPruneBeam(std::vector<RefCandidate>* cands, size_t beam) {
+  std::sort(cands->begin(), cands->end(),
+            [](const RefCandidate& a, const RefCandidate& b) {
+              if (a.dsim != b.dsim) return a.dsim < b.dsim;
+              return a.keywords.size() > b.keywords.size();
+            });
+  std::unordered_map<std::string, bool> seen;
+  std::vector<RefCandidate> kept;
+  kept.reserve(std::min(cands->size(), beam));
+  for (auto& c : *cands) {
+    if (kept.size() >= beam) break;
+    std::string key = QueryKey(c.keywords);
+    if (seen.emplace(std::move(key), true).second) {
+      kept.push_back(std::move(c));
+    }
+  }
+  *cands = std::move(kept);
+}
+
+std::vector<RefinedQuery> ReferenceTopOptimalRqs(
+    const Query& q, const KeywordSet& t, const RuleSet& rules, size_t k,
+    OptimalRqOptions options) {
+  std::vector<RefinedQuery> out;
+  if (q.empty() || k == 0) return out;
+  options.beam_width = std::max(options.beam_width, 2 * k);
+  const size_t n = q.size();
+  std::vector<std::vector<RefCandidate>> states(n + 1);
+  states[0].push_back(RefCandidate{});
+  for (size_t i = 1; i <= n; ++i) {
+    const std::string& ki = q[i - 1];
+    std::vector<RefCandidate> next;
+    bool in_t = t.count(ki) > 0;
+    if (in_t) {
+      for (const RefCandidate& c : states[i - 1]) {
+        RefCandidate e = c;
+        RefAppendKeywordUnique(&e.keywords, ki);
+        next.push_back(std::move(e));
+      }
+    }
+    if (!in_t || options.explore_deletions_of_present_terms) {
+      for (const RefCandidate& c : states[i - 1]) {
+        RefCandidate e = c;
+        e.dsim += rules.deletion_cost();
+        e.ops.push_back("delete \"" + ki + "\"");
+        next.push_back(std::move(e));
+      }
+    }
+    if (const auto* rule_ids = rules.RulesEndingWith(ki)) {
+      for (size_t rid : *rule_ids) {
+        const RefinementRule& r = rules.rule(rid);
+        size_t len = r.lhs.size();
+        if (len > i) continue;
+        bool match = true;
+        for (size_t j = 0; j < len; ++j) {
+          if (q[i - len + j] != r.lhs[j]) {
+            match = false;
+            break;
+          }
+        }
+        if (!match) continue;
+        bool rhs_in_t = true;
+        for (const std::string& w : r.rhs) {
+          if (t.count(w) == 0) {
+            rhs_in_t = false;
+            break;
+          }
+        }
+        if (!rhs_in_t) continue;
+        for (const RefCandidate& c : states[i - len]) {
+          RefCandidate e = c;
+          e.dsim += r.ds;
+          for (const std::string& w : r.rhs) {
+            RefAppendKeywordUnique(&e.keywords, w);
+          }
+          e.ops.push_back(r.DebugString());
+          next.push_back(std::move(e));
+        }
+      }
+    }
+    RefPruneBeam(&next, options.beam_width);
+    states[i] = std::move(next);
+  }
+  for (const RefCandidate& c : states[n]) {
+    if (c.keywords.empty()) continue;
+    if (out.size() >= k) break;
+    out.push_back(RefinedQuery{c.keywords, c.dsim, c.ops});
+  }
+  return out;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// A word of the random vocabulary.
+std::string Word(Random& rng, int64_t vocabulary) {
+  return "w" + std::to_string(rng.Uniform(0, vocabulary - 1));
+}
+
+// Distinct words of T the DP can put into one keyword set: Q's witnessed
+// terms and the RHS words of witnessed rules whose LHS occurs in Q.
+size_t WitnessedWords(const Query& q, const KeywordSet& t,
+                      const RuleSet& rules) {
+  KeywordSet words;
+  for (const std::string& k : q) {
+    if (t.count(k) > 0) words.insert(k);
+  }
+  for (const RefinementRule& r : rules.rules()) {
+    if (std::search(q.begin(), q.end(), r.lhs.begin(), r.lhs.end()) ==
+        q.end()) {
+      continue;
+    }
+    if (std::all_of(r.rhs.begin(), r.rhs.end(),
+                    [&](const std::string& w) { return t.count(w) > 0; })) {
+      words.insert(r.rhs.begin(), r.rhs.end());
+    }
+  }
+  return words.size();
+}
+
+// Seeded random cases against the reference: Q of 1-8 terms from a small
+// vocabulary (so terms repeat), random T, rules with 1-3-word LHS (mostly
+// runs of Q, so they fire) and 1-3-word RHS (repeats allowed, also within
+// one rule), dissimilarities from a small set (so ties abound, and sums
+// like 0.1 + 0.2 test bit-identity), beam 1-16, k 1-8. Every fourth case
+// draws a wide rule set over a large vocabulary so the witnessed words
+// outgrow one 64-bit mask word.
+TEST(TopOptimalRqReferenceTest, MatchesStringDpOnRandomCases) {
+  constexpr int kCases = 2400;
+  const double ds_values[] = {0.1, 0.2, 0.3, 0.5, 1.0, 1.0, 1.5, 2.0, 3.0};
+  const double deletion_costs[] = {1.0, 2.0, 2.0, 2.5};
+  Random rng(20091);
+  int wide_cases = 0;
+  int nonempty_cases = 0;
+  for (int c = 0; c < kCases; ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const bool wide = c % 4 == 3;
+    const int64_t q_vocabulary = rng.Uniform(2, 10);
+    const int64_t vocabulary = wide ? 400 : rng.Uniform(4, 40);
+
+    Query q(static_cast<size_t>(rng.Uniform(1, 8)));
+    for (std::string& term : q) term = Word(rng, q_vocabulary);
+
+    KeywordSet t;
+    const double t_share = wide ? 0.9 : rng.NextDouble();
+    for (int64_t w = 0; w < std::max(vocabulary, q_vocabulary); ++w) {
+      if (rng.OneIn(t_share)) t.insert("w" + std::to_string(w));
+    }
+
+    RuleSet rules;
+    rules.set_deletion_cost(
+        deletion_costs[rng.Uniform(0, std::size(deletion_costs) - 1)]);
+    const int64_t rule_count = wide ? rng.Uniform(60, 120) : rng.Uniform(0, 12);
+    for (int64_t r = 0; r < rule_count; ++r) {
+      RefinementRule rule;
+      const size_t lhs_len = static_cast<size_t>(rng.Uniform(1, 3));
+      if (rng.OneIn(0.8) && lhs_len <= q.size()) {
+        const size_t at =
+            static_cast<size_t>(rng.Uniform(0, q.size() - lhs_len));
+        rule.lhs.assign(q.begin() + at, q.begin() + at + lhs_len);
+      } else {
+        for (size_t j = 0; j < lhs_len; ++j) {
+          rule.lhs.push_back(Word(rng, q_vocabulary));
+        }
+      }
+      const size_t rhs_len = static_cast<size_t>(rng.Uniform(1, 3));
+      for (size_t j = 0; j < rhs_len; ++j) {
+        rule.rhs.push_back(rng.OneIn(0.15) ? q[rng.Uniform(0, q.size() - 1)]
+                                           : Word(rng, vocabulary));
+      }
+      rule.op = static_cast<RefineOp>(rng.Uniform(1, 3));
+      rule.ds = ds_values[rng.Uniform(0, std::size(ds_values) - 1)];
+      rules.Add(std::move(rule));
+    }
+
+    OptimalRqOptions options;
+    options.beam_width = static_cast<size_t>(rng.Uniform(1, 16));
+    options.explore_deletions_of_present_terms = rng.OneIn(0.8);
+    const size_t k = static_cast<size_t>(rng.Uniform(1, 8));
+    if (WitnessedWords(q, t, rules) > 64) ++wide_cases;
+
+    const std::vector<RefinedQuery> expected =
+        ReferenceTopOptimalRqs(q, t, rules, k, options);
+    const std::vector<RefinedQuery> got =
+        GetTopOptimalRqs(q, t, rules, k, options);
+    if (!expected.empty()) ++nonempty_cases;
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].keywords, expected[i].keywords) << "rank " << i;
+      EXPECT_TRUE(SameBits(got[i].dissimilarity, expected[i].dissimilarity))
+          << "rank " << i << ": " << got[i].dissimilarity << " vs "
+          << expected[i].dissimilarity;
+      EXPECT_EQ(got[i].applied_ops, expected[i].applied_ops) << "rank " << i;
+    }
+    const std::optional<RefinedQuery> best = GetOptimalRq(q, t, rules, options);
+    const std::vector<RefinedQuery> best_expected =
+        ReferenceTopOptimalRqs(q, t, rules, 1, options);
+    ASSERT_EQ(best.has_value(), !best_expected.empty());
+    if (best.has_value()) {
+      EXPECT_EQ(best->keywords, best_expected[0].keywords);
+      EXPECT_TRUE(
+          SameBits(best->dissimilarity, best_expected[0].dissimilarity));
+      EXPECT_EQ(best->applied_ops, best_expected[0].applied_ops);
+    }
+  }
+  // The generator must reach multi-word masks and mostly non-empty answers.
+  EXPECT_GE(wide_cases, kCases / 8);
+  EXPECT_GE(nonempty_cases, kCases / 2);
 }
 
 }  // namespace

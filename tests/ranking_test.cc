@@ -168,9 +168,12 @@ KeywordBits Key(const Query& q) {
   return key;
 }
 
+// The entry of q's keyword set: the existing one, or a new one (nullptr when
+// rejected) — the lookup-then-insert Partition and SLE make per candidate.
 RqSortedList::Entry* Insert(RqSortedList& list, Query q, double dsim) {
   KeywordBits key = Key(q);
-  return list.InsertOrFind(RefinedQuery{std::move(q), dsim, {}}, key);
+  if (RqSortedList::Entry* found = list.Find(key)) return found;
+  return list.Insert(RefinedQuery{std::move(q), dsim, {}}, key);
 }
 
 TEST(RqSortedListTest, KeepsAscendingOrderAndCapacity) {
@@ -187,12 +190,12 @@ TEST(RqSortedListTest, KeepsAscendingOrderAndCapacity) {
   // A better candidate evicts the worst.
   Insert(list, {"d"}, 0.5);
   ASSERT_EQ(list.size(), 3u);
-  EXPECT_FALSE(list.Contains(Key({"c"})));
-  EXPECT_TRUE(list.Contains(Key({"d"})));
+  EXPECT_EQ(list.Find(Key({"c"})), nullptr);
+  EXPECT_NE(list.Find(Key({"d"})), nullptr);
 
   // A worse candidate is rejected.
   EXPECT_EQ(Insert(list, {"e"}, 9.0), nullptr);
-  EXPECT_FALSE(list.Contains(Key({"e"})));
+  EXPECT_EQ(list.Find(Key({"e"})), nullptr);
 }
 
 TEST(RqSortedListTest, DuplicateKeywordSetsAreMerged) {
@@ -238,10 +241,10 @@ TEST(RqSortedListTest, KeysSpanSeveralWords) {
   EXPECT_TRUE(a.Test(67));
   EXPECT_FALSE(a.Test(66));
   RqSortedList list(4);
-  list.InsertOrFind(RefinedQuery{{"k3", "k67"}, 1.0, {}}, a);
-  EXPECT_TRUE(list.Contains(a));
-  EXPECT_FALSE(list.Contains(b));
-  list.InsertOrFind(RefinedQuery{{"k3", "k66"}, 1.0, {}}, b);
+  list.Insert(RefinedQuery{{"k3", "k67"}, 1.0, {}}, a);
+  EXPECT_NE(list.Find(a), nullptr);
+  EXPECT_EQ(list.Find(b), nullptr);
+  list.Insert(RefinedQuery{{"k3", "k66"}, 1.0, {}}, b);
   EXPECT_EQ(list.size(), 2u);
 }
 

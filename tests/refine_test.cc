@@ -316,6 +316,31 @@ TEST(RefineHandBuiltTest, PartitionAtUint32MaxComponentTerminates) {
   }
 }
 
+// Stack-refine keeps KS's witnessed keywords in one 64-bit mask per stack
+// entry. Above 64 keywords it must refuse the query, not answer it with no
+// refinements as if none existed; at 64 it still answers.
+TEST(RefineHandBuiltTest, StackRefineRefusesMoreThan64Keywords) {
+  auto corpus = ChainTypedCorpus();
+  std::vector<std::string> keywords;
+  for (uint32_t j = 0; j < 65; ++j) {
+    keywords.push_back("k" + std::to_string(j));
+    corpus->mutable_index().MutableList(keywords.back())->Append(
+        xml::Dewey({0, 1, j}), kLeafType);
+  }
+  const RefineOutcome refused = StackRefine(
+      *corpus, HandBuiltInput(*corpus, {"k0", "k1"}, keywords));
+  EXPECT_EQ(refused.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status.message().find("64"), std::string::npos)
+      << refused.status;
+  EXPECT_TRUE(refused.refined.empty());
+
+  keywords.pop_back();
+  const RefineOutcome answered = StackRefine(
+      *corpus, HandBuiltInput(*corpus, {"k0", "k1"}, keywords));
+  ASSERT_TRUE(answered.status.ok()) << answered.status;
+  EXPECT_FALSE(answered.needs_refinement);
+}
+
 // Keyword sets wider than one 64-bit word: 70 keywords, and an RQ whose
 // keyword ids straddle bit 64 — differently in the natural and the reversed
 // keyword order. Partition's outcome must not depend on the ids, and the
@@ -494,9 +519,11 @@ TEST(RefinePinTest, PartitionAndSleAnswersAndWorkArePinned) {
 
   // RefineStats order: partitions_visited, partitions_pruned, slca_calls,
   // dp_calls, random_accesses, nodes_popped, candidates_enumerated,
-  // candidates_pruned.
+  // candidates_pruned. partitions_pruned counts a partition once, when all
+  // of its candidates were pruned (it once counted pruned candidates, and
+  // so equalled candidates_pruned: 3629).
   const PinnedRun expected[3] = {
-      {0xb6429d657a981de2ull, {5273, 3629, 6165, 1568, 0, 0, 9794, 3629}},
+      {0xb6429d657a981de2ull, {5273, 1354, 6165, 1568, 0, 0, 9794, 3629}},
       {0xb6429d657a981de2ull, {5273, 0, 9794, 1568, 0, 0, 9794, 0}},
       {0x1e5302f4145d895cull, {3641, 0, 994, 4018, 14368, 0, 7278, 2959}},
   };

@@ -234,6 +234,63 @@ TEST(SlcaBoundaryTest, DeepOneBranchChain) {
   }
 }
 
+TEST(SlcaBoundaryTest, SixtyFiveLists) {
+  // One posting per list, all under 0.1: the SLCA is 0.1 however many lists
+  // there are, including past one 64-bit word of keyword mask.
+  for (uint32_t m : {64u, 65u, 130u}) {
+    std::vector<FlatPostingList> lists;
+    for (uint32_t i = 0; i < m; ++i) lists.push_back(L({{0, 1, i}}));
+    auto expected = BruteForceSlca(lists);
+    ASSERT_EQ(expected, (std::vector<std::string>{"0.1"}));
+    for (auto algorithm : kAll) {
+      EXPECT_EQ(RunAll(lists, algorithm), expected)
+          << m << " lists, algo " << static_cast<int>(algorithm);
+    }
+  }
+}
+
+// One SlcaScratch and one result vector serve a run of calls whose posting
+// counts and list counts (1 to 70) swing up and down, alternating the
+// algorithms, as Partition's per-candidate calls do. Each call must append
+// exactly its own SLCA, whatever the earlier calls left in the scratch.
+TEST_P(SlcaPropertyTest, OneScratchServesCallsOfEverySize) {
+  Random rng(GetParam() + 1000);
+  const xml::NodeTypeTable types;
+  SlcaScratch scratch;
+  std::vector<SlcaResult> results;
+  for (int round = 0; round < 60; ++round) {
+    const bool many = round % 4 == 1;
+    const size_t m = static_cast<size_t>(many ? rng.Uniform(60, 70)
+                                              : rng.Uniform(1, 5));
+    const int64_t max_postings = many ? 4 : (round % 4 == 3 ? 60 : 8);
+    const bool shared_root = round % 2 == 0;
+    std::vector<FlatPostingList> lists;
+    for (size_t i = 0; i < m; ++i) {
+      lists.push_back(RandomList(
+          rng, static_cast<size_t>(rng.Uniform(1, max_postings)),
+          shared_root));
+    }
+    auto expected = BruteForceSlca(lists);
+    std::vector<PostingSpan> spans;
+    for (const auto& list : lists) spans.emplace_back(list);
+    for (SlcaAlgorithm algorithm : kAll) {
+      // The vector keeps what earlier calls appended; a call only appends.
+      const size_t before = results.size();
+      const std::vector<SlcaResult> kept(results.begin(), results.end());
+      ComputeSlca(spans, types, algorithm, nullptr, &scratch, &results);
+      ASSERT_TRUE(std::equal(kept.begin(), kept.end(), results.begin()));
+      std::vector<std::string> got;
+      for (size_t r = before; r < results.size(); ++r) {
+        got.push_back(results[r].dewey.ToString());
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected) << "round " << round << " lists " << m
+                               << " algo " << static_cast<int>(algorithm);
+      if (results.size() > 16) results.clear();
+    }
+  }
+}
+
 // --- DAG-compressed vs uncompressed equivalence ------------------------------
 //
 // The compression contract (DESIGN.md §15): BuildIndexFromDag over

@@ -160,6 +160,7 @@ class SlcaDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SlcaDifferentialTest, AllAlgorithmsMatchBruteForce) {
   Random rng(GetParam());
+  SlcaScratch scratch;
   const std::vector<std::string> alphabet = {"aa", "bb", "cc", "dd", "ee",
                                              "ff", "gg"};
   for (int round = 0; round < 20; ++round) {
@@ -209,6 +210,21 @@ TEST_P(SlcaDifferentialTest, AllAlgorithmsMatchBruteForce) {
           auto results = ComputeSlca(lists, corpus->types(), algorithm);
           got = DeweyStrings(results);
           std::sort(got.begin(), got.end());
+          // Filtering on the kernel's views, through a scratch every round
+          // reuses, keeps exactly what filtering the results afterwards
+          // keeps, in the same order and with the same types.
+          const std::vector<TypeConfidence> candidates =
+              InferSearchForNodes(q, corpus->stats(), corpus->types());
+          std::vector<SlcaResult> filtered;
+          ComputeSlca(lists, corpus->types(), algorithm, &candidates,
+                      &scratch, &filtered);
+          std::vector<SlcaResult> expected_filtered =
+              FilterMeaningful(results, candidates, corpus->types());
+          EXPECT_EQ(DeweyStrings(filtered), DeweyStrings(expected_filtered));
+          ASSERT_EQ(filtered.size(), expected_filtered.size());
+          for (size_t r = 0; r < filtered.size(); ++r) {
+            EXPECT_EQ(filtered[r].type, expected_filtered[r].type);
+          }
         }
         EXPECT_EQ(got, expected)
             << "round " << round << " qlen " << qlen << " algo "
